@@ -11,6 +11,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -32,7 +33,10 @@ def _parse_rational(text: str) -> Fraction:
             f"expected an integer or p/q rational, got {text!r} "
             "(floats are not accepted where exactness is required)"
         )
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError as exc:  # more digits than the interpreter's int-from-str limit
+        raise DomainError(f"rational argument too long: {exc}") from None
 
 
 def _parse_float(text: str) -> float:
@@ -40,6 +44,25 @@ def _parse_float(text: str) -> float:
         return float(text)
     except ValueError:
         raise DomainError(f"expected a float, got {text!r}") from None
+
+
+@contextlib.contextmanager
+def _exact_rendering():
+    """Lift the interpreter's int-to-str digit limit while results are printed.
+
+    Exact outputs at large ``N`` have numerators and denominators of tens of
+    thousands of digits.  Parsing input stays under the default guard.
+    """
+    setter = getattr(sys, "set_int_max_str_digits", None)
+    if setter is None:
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    setter(0)
+    try:
+        yield
+    finally:
+        setter(previous)
 
 
 def _fmt_float(x: float) -> str:
@@ -74,18 +97,21 @@ def cmd_pgf(args: argparse.Namespace) -> int:
         print(_latex_formula(p))
         return 0
     poly = distribution.pgf_polynomial(p)
-    if args.format == "json":
-        payload = {"branch": _branch_label(p), "coeffs": [str(c) for c in poly.coeffs]}
-        print(json.dumps(payload, separators=(",", ":")))
-    else:
-        print(" ".join(str(c) for c in poly.coeffs))
+    with _exact_rendering():
+        if args.format == "json":
+            payload = {"branch": _branch_label(p), "coeffs": [str(c) for c in poly.coeffs]}
+            print(json.dumps(payload, separators=(",", ":")))
+        else:
+            print(" ".join(str(c) for c in poly.coeffs))
     return 0
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     p = make_params(args.N, args.K, args.n)
     if args.kind == "pgf":
-        print(distribution.pgf_eval(p, _parse_rational(args.at)))
+        value = distribution.pgf_eval(p, _parse_rational(args.at))
+        with _exact_rendering():
+            print(value)
         return 0
     t = _parse_float(args.at)
     if args.kind == "mgf":
@@ -102,13 +128,15 @@ def cmd_moments(args: argparse.Namespace) -> int:
     p = make_params(args.N, args.K, args.n)
     if args.max_r < 1:
         raise DomainError(f"--max-r must be >= 1 (got {args.max_r})")
-    raws = moments.raw_moments(p, args.max_r)
-    for r in range(1, args.max_r + 1):
-        print(f"fact[{r}]={moments.factorial_moment(p, r)}")
-    for r in range(1, args.max_r + 1):
-        print(f"raw[{r}]={raws[r - 1]}")
-    print(f"mean={moments.mean(p)}")
-    print(f"var={moments.variance(p)}")
+    fms = [moments.factorial_moment(p, r) for r in range(1, args.max_r + 1)]
+    raws = moments.raw_moments_from_factorial(fms)
+    with _exact_rendering():
+        for r in range(1, args.max_r + 1):
+            print(f"fact[{r}]={fms[r - 1]}")
+        for r in range(1, args.max_r + 1):
+            print(f"raw[{r}]={raws[r - 1]}")
+        print(f"mean={moments.mean(p)}")
+        print(f"var={moments.variance(p)}")
     return 0
 
 

@@ -31,10 +31,10 @@ import math
 import operator
 from enum import Enum
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .core import DomainError, HypergenError, HypergeomParams, PgfPolynomial, as_rational, binomial
-from .hyp2f1 import Terminating2F1, eval_terminating_2f1, series_coefficients
+from .hyp2f1 import Terminating2F1, eval_terminating_2f1, scaled_terms
 
 
 class IndeterminateLegacyFormula(HypergenError):
@@ -112,20 +112,23 @@ def _branch_parts(
 ) -> tuple[Fraction, int, Terminating2F1, bool]:
     """(prefactor, z-power, series, inverted) for a branch assumed admissible.
 
-    ``inverted`` marks the two rewrites whose series argument is 1/z.
+    ``inverted`` marks the two rewrites whose series argument is 1/z.  Each
+    prefactor is the paper's four-factorial ratio written as a ratio of two
+    binomials, e.g. ``(N-n)! (N-K)! / (N! (N-K-n)!) = C(N-K, n) / C(N, n)``
+    for ThmA, which is far cheaper to build at large ``N``.
     """
     N, K, n = p.N, p.K, p.n
     if which is BranchTag.THM_A or which is BranchTag.COR_1A:
-        pref = Fraction(factorial(N - n) * factorial(N - K), factorial(N) * factorial(N - K - n))
+        pref = Fraction(comb(N - K, n), comb(N, n))
         return pref, 0, Terminating2F1(-n, -K, N - K - n + 1), False
     if which is BranchTag.THM_B or which is BranchTag.COR_2B:
-        pref = Fraction(factorial(n) * factorial(K), factorial(N) * factorial(n + K - N))
+        pref = Fraction(comb(K, n + K - N), comb(N, n))
         return pref, n + K - N, Terminating2F1(n - N, K - N, n + K - N + 1), False
     if which is BranchTag.COR_1B:
-        pref = Fraction(factorial(n) * factorial(N - K), factorial(N) * factorial(n - K))
+        pref = Fraction(comb(N - K, n - K), comb(N, n))
         return pref, K, Terminating2F1(n - N, -K, n - K + 1), True
     if which is BranchTag.COR_2A:
-        pref = Fraction(factorial(N - n) * factorial(K), factorial(N) * factorial(K - n))
+        pref = Fraction(comb(K, n), comb(N, n))
         return pref, n, Terminating2F1(-n, K - N, K - n + 1), True
     raise DomainError(f"unknown branch tag {which!r}")
 
@@ -143,14 +146,15 @@ def legacy_pgf_prefactor(p: HypergeomParams) -> Fraction:
             f"PGF formula is indeterminate for n >= N-K+1 "
             f"(N={p.N}, K={p.K}, n={p.n})"
         )
-    return Fraction(
-        factorial(p.N - p.n) * factorial(p.N - p.K),
-        factorial(p.N) * factorial(p.N - p.K - p.n),
-    )
+    return _branch_parts(p, BranchTag.THM_A)[0]
 
 
 def branch_polynomial(p: HypergeomParams, which: BranchTag) -> PgfPolynomial:
-    """Expand one of the two main branches into explicit coefficients."""
+    """Expand one of the two main branches into explicit coefficients.
+
+    Coefficient ``shift + k`` is the prefactor times the k-th series term,
+    carried as one running product over the series' term ratios.
+    """
     if which not in THEOREM_TAGS:
         raise DomainError(f"coefficient expansion is defined for the main branches, not {which.value}")
     if which not in classify_regions(p):
@@ -158,9 +162,7 @@ def branch_polynomial(p: HypergeomParams, which: BranchTag) -> PgfPolynomial:
             f"branch {which.value} is not valid for (N={p.N}, K={p.K}, n={p.n})"
         )
     pref, shift, f, _ = _branch_parts(p, which)
-    series = series_coefficients(f)
-    coeffs = [Fraction(0)] * shift + [pref * c for c in series]
-    return PgfPolynomial(tuple(coeffs))
+    return PgfPolynomial((Fraction(0),) * shift + scaled_terms(f, pref))
 
 
 def pgf_polynomial(p: HypergeomParams) -> PgfPolynomial:

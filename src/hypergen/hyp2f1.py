@@ -90,16 +90,20 @@ def pochhammer(a, k: int) -> Fraction:
 def eval_terminating_2f1(f: Terminating2F1, z) -> Fraction:
     """Exact value of the terminating series at a rational point.
 
-    Ascending-k summation with the running term ratio
-    ``term_{k+1} = term_k * (a+k)(b+k) / ((c+k)(k+1)) * z``.
+    Nested Horner form of the running term ratio
+    ``term_{k+1} / term_k = (a+k)(b+k) / ((c+k)(k+1)) * z``:
+    ``1 + r_0 (1 + r_1 (1 + ... (1 + r_{T-2})))``, evaluated from the last
+    term down on an integer pair ``u/v`` with ``z = p/q``, so every step is
+    a big-by-small product and the only gcd is the final division.
     """
     z = as_rational(z)
-    total = Fraction(1)
-    term = Fraction(1)
-    for k in range(f.termination_index - 1):
-        term = term * (f.a + k) * (f.b + k) * z / ((f.c + k) * (k + 1))
-        total += term
-    return total
+    p, q = z.numerator, z.denominator
+    a, b, c = f.a, f.b, f.c
+    u = v = 1
+    for k in reversed(range(f.termination_index - 1)):
+        v *= (c + k) * (k + 1) * q
+        u = v + (a + k) * (b + k) * p * u
+    return Fraction(u, v)
 
 
 def eval_terminating_2f1_float(f: Terminating2F1, z: float) -> float:
@@ -127,10 +131,23 @@ def series_coefficients(f: Terminating2F1) -> tuple[Fraction, ...]:
     Entry ``k`` is ``(a)_k (b)_k / ((c)_k k!)`` for
     ``0 <= k <= termination_index - 1``.
     """
-    coeffs = [Fraction(1)]
+    return scaled_terms(f, Fraction(1))
+
+
+def scaled_terms(f: Terminating2F1, first: Fraction) -> tuple[Fraction, ...]:
+    """The series terms times ``first``: ``first * (a)_k (b)_k / ((c)_k k!)``.
+
+    A running product of the small term ratios
+    ``(a+k)(b+k) / ((c+k)(k+1))``, so that each step cancels only
+    big-by-small gcds however large ``first`` is.
+    """
+    a, b, c = f.a, f.b, f.c
+    term = first
+    terms = [term]
     for k in range(f.termination_index - 1):
-        coeffs.append(coeffs[-1] * (f.a + k) * (f.b + k) / ((f.c + k) * (k + 1)))
-    return tuple(coeffs)
+        term *= Fraction((a + k) * (b + k), (c + k) * (k + 1))
+        terms.append(term)
+    return tuple(terms)
 
 
 def scaled_limit_2f1(a: int, b: int, m: int, z) -> Fraction:

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import factorial
 
 from .core import DomainError, HypergeomParams
+from .distribution import BranchTag, _branch_parts, canonical_branch
 from .hyp2f1 import (
-    Terminating2F1,
     derivative_2f1,
     derivative_z_power_2f1,
     gauss_value_at_one,
@@ -49,19 +48,14 @@ def factorial_moment(p: HypergeomParams, r: int) -> Fraction:
     r = operator.index(r)
     if r < 1:
         raise DomainError(f"factorial moment order must be >= 1 (got r={r})")
-    N, K, n = p.N, p.K, p.n
-    if n <= N - K:
-        pref = Fraction(factorial(N - n) * factorial(N - K), factorial(N) * factorial(N - K - n))
-        scale, g = derivative_2f1(Terminating2F1(-n, -K, N - K - n + 1), r)
-        if scale == 0:
-            return Fraction(0)
-        return pref * scale * gauss_value_at_one(g)
-    pref = Fraction(factorial(n) * factorial(K), factorial(N) * factorial(n + K - N))
-    c = n + K - N + 1
-    if r <= c - 1:
-        scale, _power, g = derivative_z_power_2f1(n - N, K - N, c, r)
-        return pref * scale * gauss_value_at_one(g)
-    scale, g = prop1_derivative(n - N, K - N, c, r)
+    branch = canonical_branch(p)
+    pref, _shift, f, _ = _branch_parts(p, branch)
+    if branch is BranchTag.THM_A:
+        scale, g = derivative_2f1(f, r)
+    elif r <= f.c - 1:
+        scale, _power, g = derivative_z_power_2f1(f.a, f.b, f.c, r)
+    else:
+        scale, g = prop1_derivative(f.a, f.b, f.c, r)
     if scale == 0:
         return Fraction(0)
     return pref * scale * gauss_value_at_one(g)
@@ -125,9 +119,13 @@ def raw_moments(p: HypergeomParams, max_r: int) -> list[Fraction]:
     max_r = operator.index(max_r)
     if max_r < 1:
         raise DomainError(f"max_r must be >= 1 (got {max_r})")
-    fms = [factorial_moment(p, s) for s in range(1, max_r + 1)]
-    stirling = stirling2_triangle(max_r)
+    return raw_moments_from_factorial([factorial_moment(p, s) for s in range(1, max_r + 1)])
+
+
+def raw_moments_from_factorial(fms: list[Fraction]) -> list[Fraction]:
+    """E[X^j] for j = 1..len(fms), given ``fms[s-1] = E[X(X-1)...(X-s+1)]``."""
+    stirling = stirling2_triangle(len(fms))
     return [
         sum((stirling[j][s] * fms[s - 1] for s in range(1, j + 1)), Fraction(0))
-        for j in range(1, max_r + 1)
+        for j in range(1, len(fms) + 1)
     ]

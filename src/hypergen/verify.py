@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import operator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
@@ -121,10 +120,9 @@ def check_triple(p: HypergeomParams) -> list[CheckFailure]:
     if p.n >= p.N - p.K:
         shift = p.n + p.K - p.N
         partner = HypergeomParams(p.N, p.N - p.K, p.N - p.n)
-        mine = distribution.pgf_polynomial(p)
         theirs = distribution.pgf_polynomial(partner)
-        for k in range(len(mine.coeffs)):
-            lhs = mine.coefficient(k)
+        for k in range(len(got.coeffs)):
+            lhs = got.coefficient(k)
             rhs = theirs.coefficient(k - shift) if k >= shift else Fraction(0)
             if lhs != rhs:
                 fail(
@@ -136,9 +134,8 @@ def check_triple(p: HypergeomParams) -> list[CheckFailure]:
     return failures
 
 
-def _check_population(args: tuple[int, int]) -> tuple[int, int, list[CheckFailure]]:
+def _check_population(N: int) -> tuple[int, int, list[CheckFailure]]:
     """Check all (K, n) pairs for one population size N."""
-    N, _bound = args
     checked = 0
     failed = 0
     failures: list[CheckFailure] = []
@@ -172,12 +169,16 @@ def oracle_grid_check(n_max: int, *, bound: int | None = None, jobs: int = 1) ->
             "(raise it explicitly if this is intentional)"
         )
 
-    tasks = [(N, limit) for N in range(n_max + 1)]
+    sizes = range(n_max + 1)
     if jobs == 1:
-        results = [_check_population(t) for t in tasks]
+        results = [_check_population(N) for N in sizes]
     else:
+        # Imported here: the process pool costs every importer of the
+        # package startup time and memory, and only jobs > 1 uses it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_check_population, tasks))
+            results = list(pool.map(_check_population, sizes))
 
     n_checked = sum(r[0] for r in results)
     n_failed = sum(r[1] for r in results)
