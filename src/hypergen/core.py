@@ -11,7 +11,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import cached_property
+from math import comb, lcm
 
 
 class HypergenError(Exception):
@@ -128,13 +129,26 @@ class PgfPolynomial:
             return self.coeffs[k]
         return Fraction(0)
 
+    @cached_property
+    def _integer_form(self) -> tuple[tuple[int, ...], int]:
+        """Numerators over one common denominator: ``(nums, den)``."""
+        den = lcm(*(c.denominator for c in self.coeffs))
+        return tuple(c.numerator * (den // c.denominator) for c in self.coeffs), den
+
     def __call__(self, z) -> Fraction:
-        """Exact Horner evaluation at a rational point."""
+        """Exact Horner evaluation at a rational point.
+
+        Runs on integers: with ``z = p/q`` and degree ``d`` it sums
+        ``nums[k] p^k q^(d-k)`` and divides by ``den q^d`` once.
+        """
         z = as_rational(z)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
+        p, q = z.numerator, z.denominator
+        nums, den = self._integer_form
+        acc, scale = 0, 1
+        for c in reversed(nums):
+            acc = acc * p + c * scale
+            scale *= q
+        return Fraction(acc, den * q**self.degree)
 
     def eval_float(self, x: float) -> float:
         """Horner evaluation in double precision."""

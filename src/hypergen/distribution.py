@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .core import DomainError, HypergenError, HypergeomParams, PgfPolynomial, as_rational, binomial
-from .hyp2f1 import Terminating2F1, eval_terminating_2f1, scaled_terms
+from .hyp2f1 import Terminating2F1, _horner_pair, eval_terminating_2f1, scaled_terms
 
 
 class IndeterminateLegacyFormula(HypergenError):
@@ -133,6 +133,28 @@ def _branch_parts(
     raise DomainError(f"unknown branch tag {which!r}")
 
 
+#: Up to this many series terms plus z-power factors the numbers stay at a
+#: few hundred bits, and one Fraction over the whole product is cheaper than
+#: reducing it factor by factor (the two cost the same near 100 at z = 7/5).
+_ONE_FRACTION_TERMS = 64
+
+
+def _eval_parts(parts: tuple[Fraction, int, Terminating2F1, bool], z: Fraction) -> Fraction:
+    """``pref * z**power * F(arg)`` for ``parts`` from :func:`_branch_parts`.
+
+    ``arg`` is ``z``, or ``1/z`` for an inverted rewrite (then ``z != 0``).
+    A short series runs on one integer pair and ends in a single Fraction.
+    A long one is multiplied out as reduced Fractions, whose cross gcds are
+    cheaper than one gcd over the whole product once the numbers are big.
+    """
+    pref, power, f, inverted = parts
+    if f.termination_index + power > _ONE_FRACTION_TERMS:
+        return pref * z**power * eval_terminating_2f1(f, 1 / z if inverted else z)
+    p, q = z.numerator, z.denominator
+    u, v = _horner_pair(f, q, p) if inverted else _horner_pair(f, p, q)
+    return Fraction(pref.numerator * p**power * u, pref.denominator * q**power * v)
+
+
 def legacy_pgf_prefactor(p: HypergeomParams) -> Fraction:
     """Prefactor ``(N-n)! (N-K)! / (N! (N-K-n)!)`` of the classical formula.
 
@@ -181,9 +203,7 @@ def pgf_eval(p: HypergeomParams, z) -> Fraction:
     :func:`pgf_polynomial` and this direct evaluation cross-check each
     other.
     """
-    z = as_rational(z)
-    pref, shift, f, _ = _branch_parts(p, canonical_branch(p))
-    return pref * z**shift * eval_terminating_2f1(f, z)
+    return _eval_parts(_branch_parts(p, canonical_branch(p)), as_rational(z))
 
 
 def pgf_eval_branch(p: HypergeomParams, z, which: BranchTag) -> Fraction:
@@ -197,14 +217,11 @@ def pgf_eval_branch(p: HypergeomParams, z, which: BranchTag) -> Fraction:
             f"branch {which.value} is not valid for (N={p.N}, K={p.K}, n={p.n})"
         )
     z = as_rational(z)
-    pref, power, f, inverted = _branch_parts(p, which)
-    if inverted:
-        if z == 0:
-            raise DomainError(f"branch {which.value} evaluates a series in 1/z; z=0 is invalid")
-        arg = 1 / z
-    else:
-        arg = z
-    return pref * z**power * eval_terminating_2f1(f, arg)
+    parts = _branch_parts(p, which)
+    inverted = parts[3]
+    if inverted and z == 0:
+        raise DomainError(f"branch {which.value} evaluates a series in 1/z; z=0 is invalid")
+    return _eval_parts(parts, z)
 
 
 def pgf_eval_corollary(p: HypergeomParams, z, which: BranchTag) -> Fraction:
@@ -214,8 +231,14 @@ def pgf_eval_corollary(p: HypergeomParams, z, which: BranchTag) -> Fraction:
     return pgf_eval_branch(p, z, which)
 
 
+def _reject_nan(t: float, name: str) -> None:
+    if math.isnan(t):
+        raise DomainError(f"{name} is undefined at t=nan")
+
+
 def mgf_eval(p: HypergeomParams, t: float) -> float:
     """Moment-generating function M_X(t) = G_X(e^t) in double precision."""
+    _reject_nan(t, "M_X(t)")
     x = math.exp(t)  # OverflowError for t beyond the float range
     value = pgf_polynomial(p).eval_float(x)
     if not math.isfinite(value):
@@ -225,6 +248,7 @@ def mgf_eval(p: HypergeomParams, t: float) -> float:
 
 def cf_eval(p: HypergeomParams, t: float) -> complex:
     """Characteristic function phi_X(t) = G_X(e^{it}); |phi| <= 1 always."""
+    _reject_nan(t, "phi_X(t)")
     z = cmath.exp(1j * t)
     value = pgf_polynomial(p).eval_complex(z)
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
@@ -233,8 +257,18 @@ def cf_eval(p: HypergeomParams, t: float) -> complex:
 
 
 def cgf_eval(p: HypergeomParams, t: float) -> float:
-    """Cumulant-generating function ln M_X(t); zero at t = 0."""
-    return math.log(mgf_eval(p, t))
+    """Cumulant-generating function ln M_X(t); zero at t = 0.
+
+    Raises ``OverflowError`` when M_X(t) underflows to 0.0, as it does for
+    very negative ``t`` once the support starts above 0.
+    """
+    _reject_nan(t, "ln M_X(t)")
+    value = mgf_eval(p, t)
+    if value == 0.0:
+        raise OverflowError(
+            f"M_X({t}) underflows to 0 in double precision; ln M_X({t}) is out of range"
+        )
+    return math.log(value)
 
 
 def legendre_case_pgf(m: int, z) -> Fraction:

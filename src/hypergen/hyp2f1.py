@@ -97,13 +97,22 @@ def eval_terminating_2f1(f: Terminating2F1, z) -> Fraction:
     a big-by-small product and the only gcd is the final division.
     """
     z = as_rational(z)
-    p, q = z.numerator, z.denominator
+    return Fraction(*_horner_pair(f, z.numerator, z.denominator))
+
+
+def _horner_pair(f: Terminating2F1, p: int, q: int) -> tuple[int, int]:
+    """Unreduced integers ``(u, v)`` with ``u / v`` the series at ``z = p/q``.
+
+    The integer core of :func:`eval_terminating_2f1`; ``q`` may be negative
+    but not zero.  Callers that multiply the value by more factors can defer
+    the gcd to one final division.
+    """
     a, b, c = f.a, f.b, f.c
     u = v = 1
     for k in reversed(range(f.termination_index - 1)):
         v *= (c + k) * (k + 1) * q
         u = v + (a + k) * (b + k) * p * u
-    return Fraction(u, v)
+    return u, v
 
 
 def eval_terminating_2f1_float(f: Terminating2F1, z: float) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from math import comb, perm
 
 from .core import DomainError, HypergenError, HypergeomParams, PgfPolynomial, binomial
 
@@ -52,15 +53,18 @@ def oracle_pgf(p: HypergeomParams, bound: int | None = None) -> PgfPolynomial:
 
 
 def oracle_factorial_moment(p: HypergeomParams, r: int, bound: int | None = None) -> Fraction:
-    """E[X(X-1)...(X-r+1)] as the literal sum over the support."""
+    """E[X(X-1)...(X-r+1)] as the literal sum over the support.
+
+    The sum runs over the integers ``(k)_r C(K,k) C(N-K,n-k)``, the falling
+    factorial times the numerator of the mass, and the common denominator
+    ``C(N,n)`` is divided out once.
+    """
     r = operator.index(r)
     if r < 1:
         raise DomainError(f"factorial moment order must be >= 1 (got r={r})")
     _check_bound(p, bound)
-    total = Fraction(0)
-    for k in range(p.support_lo, p.support_hi + 1):
-        weight = 1
-        for i in range(r):
-            weight *= k - i
-        total += weight * _pmf(p, k)
-    return total
+    total = sum(
+        perm(k, r) * comb(p.K, k) * comb(p.N - p.K, p.n - k)
+        for k in range(p.support_lo, p.support_hi + 1)
+    )
+    return Fraction(total, comb(p.N, p.n))

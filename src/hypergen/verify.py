@@ -98,16 +98,22 @@ def check_triple(p: HypergeomParams) -> list[CheckFailure]:
     if got.coeffs != truth.coeffs:
         fail("pgf_coefficients", f"expected {truth.coeffs}, got {got.coeffs}")
 
+    # Each branch's parts are built once and evaluated by the same exact
+    # arithmetic that pgf_eval and pgf_eval_branch run.
     admitted = distribution.classify_regions(p)
+    direct_parts = distribution._branch_parts(p, distribution.canonical_branch(p))
+    rewrites = [
+        (tag, distribution._branch_parts(p, tag))
+        for tag in CANONICAL_TAG_ORDER
+        if tag in COROLLARY_TAGS and tag in admitted
+    ]
     for z in SAMPLE_Z:
         want = truth(z)
-        direct = distribution.pgf_eval(p, z)
+        direct = distribution._eval_parts(direct_parts, z)
         if direct != want:
             fail("pgf_eval", f"z={z}: expected {want}, got {direct}")
-        for tag in CANONICAL_TAG_ORDER:
-            if tag not in COROLLARY_TAGS or tag not in admitted:
-                continue
-            value = distribution.pgf_eval_corollary(p, z, tag)
+        for tag, parts in rewrites:
+            value = distribution._eval_parts(parts, z)
             if value != want:
                 fail("corollary_branch", f"{tag.value} at z={z}: expected {want}, got {value}")
 
@@ -152,9 +158,9 @@ def _check_population(N: int) -> tuple[int, int, list[CheckFailure]]:
 def oracle_grid_check(n_max: int, *, bound: int | None = None, jobs: int = 1) -> VerificationReport:
     """Run the full grid up to ``n_max`` and aggregate a deterministic report.
 
-    ``jobs > 1`` spreads population sizes over worker processes; the
-    aggregation order is fixed by N, so the report does not depend on
-    scheduling.
+    ``jobs > 1`` spreads population sizes over worker processes, largest
+    first; the aggregation order is fixed by N, so the report does not
+    depend on ``jobs`` or on scheduling.
     """
     n_max = operator.index(n_max)
     if n_max < 1:
@@ -169,16 +175,17 @@ def oracle_grid_check(n_max: int, *, bound: int | None = None, jobs: int = 1) ->
             "(raise it explicitly if this is intentional)"
         )
 
-    sizes = range(n_max + 1)
     if jobs == 1:
-        results = [_check_population(N) for N in sizes]
+        results = [_check_population(N) for N in range(n_max + 1)]
     else:
         # Imported here: the process pool costs every importer of the
         # package startup time and memory, and only jobs > 1 uses it.
         from concurrent.futures import ProcessPoolExecutor
 
+        # Largest population first, so no worker is left with a big N at
+        # the end; the results are put back in N order.
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_check_population, sizes))
+            results = list(pool.map(_check_population, range(n_max, -1, -1)))[::-1]
 
     n_checked = sum(r[0] for r in results)
     n_failed = sum(r[1] for r in results)
