@@ -79,22 +79,10 @@ def _branch_label(p) -> str:
     return "3a" if distribution.canonical_branch(p) is BranchTag.THM_A else "3b"
 
 
-def _latex_formula(p) -> str:
-    """The branch formula with this triple's numbers substituted in."""
-    N, K, n = p.N, p.K, p.n
-    if distribution.canonical_branch(p) is BranchTag.THM_A:
-        frac = f"\\frac{{{N - n}!\\,{N - K}!}}{{{N}!\\,{N - K - n}!}}"
-        series = f"{{}}_2F_1({-n}, {-K}; {N - K - n + 1}; z)"
-        return f"G(z) = {frac}\\,{series}"
-    frac = f"\\frac{{{n}!\\,{K}!}}{{{N}!\\,{n + K - N}!}}"
-    series = f"{{}}_2F_1({n - N}, {K - N}; {n + K - N + 1}; z)"
-    return f"G(z) = {frac}\\,z^{{{n + K - N}}}\\,{series}"
-
-
 def cmd_pgf(args: argparse.Namespace) -> int:
     p = make_params(args.N, args.K, args.n)
     if args.format == "latex":
-        print(_latex_formula(p))
+        print(distribution._latex_formula(p))
         return 0
     poly = distribution.pgf_polynomial(p)
     with _exact_rendering():

@@ -150,16 +150,9 @@ class PgfPolynomial:
             scale *= q
         return Fraction(acc, den * q**self.degree)
 
-    def eval_float(self, x: float) -> float:
-        """Horner evaluation in double precision."""
+    def eval_float(self, x: float | complex) -> float | complex:
+        """Horner evaluation in double precision at a real or complex point."""
         acc = 0.0
         for c in reversed(self.coeffs):
             acc = acc * x + float(c)
-        return acc
-
-    def eval_complex(self, z: complex) -> complex:
-        """Horner evaluation at a double-precision complex point."""
-        acc = 0 + 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + float(c)
         return acc

@@ -1,23 +1,21 @@
 """PMF, branch-complete generating functions, and region classification.
 
-The probability-generating function G_X(z) = E[z^X] of the hypergeometric
-distribution has two closed-form branches:
+Every closed form of the probability-generating function G_X(z) = E[z^X]
+of the hypergeometric distribution is one expression::
 
-* lower branch (``ThmA``), valid for ``n <= N-K``::
+    G(z) = x! y! / (N! (x+y-N)!) * z^s * 2F1(x-N, y-N; x+y-N+1; w)
 
-    G(z) = (N-n)! (N-K)! / (N! (N-K-n)!) * 2F1(-n, -K; N-K-n+1; z)
-
-* upper branch (``ThmB``), valid for ``n >= N-K``::
-
-    G(z) = n! K! / (N! (n+K-N)!) * z^(n+K-N) * 2F1(n-N, K-N; n+K-N+1; z)
-
-The classical textbook expression is the lower branch alone; its prefactor
-and hypergeometric factor both blow up once ``n >= N-K+1``, leaving an
-indeterminate inf/inf that :func:`legacy_pgf_prefactor` reports as a typed
-error.  Four further rewrites (``Cor1a``..``Cor2b``) expose the sampling
-symmetry between drawing ``n`` balls and leaving ``N-n`` behind; their
-validity regions on the (n, K) grid overlap, and wherever two formulas are
-both defined they agree exactly.
+with ``w = z`` or ``w = 1/z``.  A branch is a row ``(x, y, s, inverted)``
+(:func:`_branch_row`) and exists exactly when ``(x+y-N)!`` does, i.e. when
+``x + y >= N``.  The lower branch ``ThmA`` (``x, y = N-n, N-K``) is the
+classical textbook formula; its prefactor and hypergeometric factor both
+blow up once ``n >= N-K+1``, leaving an indeterminate inf/inf that
+:func:`legacy_pgf_prefactor` reports as a typed error.  The upper branch
+``ThmB`` (``x, y = n, K``) covers the rest.  Four further rewrites
+(``Cor1a``..``Cor2b``) expose the sampling symmetry between drawing ``n``
+balls and leaving ``N-n`` behind; their validity regions on the (n, K)
+grid overlap, and wherever two formulas are both defined they agree
+exactly.
 
 Everything generating-function-shaped funnels through the exact coefficient
 polynomial; the MGF/CF/CGF evaluate that one source of truth at a floating
@@ -107,30 +105,48 @@ def canonical_branch(p: HypergeomParams) -> BranchTag:
     return BranchTag.THM_A if p.n <= p.N - p.K else BranchTag.THM_B
 
 
+def _branch_row(p: HypergeomParams, which: BranchTag) -> tuple[int, int, int, bool]:
+    """Branch ``which`` as its row ``(x, y, s, inverted)``.
+
+    The branch is ``x! y! / (N! (x+y-N)!) * z^s * 2F1(x-N, y-N; x+y-N+1; w)``
+    with ``w = 1/z`` when ``inverted``, else ``w = z``; it exists exactly
+    when ``x + y >= N``.
+    """
+    N, K, n = p.N, p.K, p.n
+    if which is BranchTag.THM_A or which is BranchTag.COR_1A:
+        return N - n, N - K, 0, False
+    if which is BranchTag.THM_B or which is BranchTag.COR_2B:
+        return n, K, n + K - N, False
+    if which is BranchTag.COR_1B:
+        return n, N - K, K, True
+    if which is BranchTag.COR_2A:
+        return N - n, K, n, True
+    raise DomainError(f"unknown branch tag {which!r}")
+
+
 def _branch_parts(
     p: HypergeomParams, which: BranchTag
 ) -> tuple[Fraction, int, Terminating2F1, bool]:
     """(prefactor, z-power, series, inverted) for a branch assumed admissible.
 
-    ``inverted`` marks the two rewrites whose series argument is 1/z.  Each
-    prefactor is the paper's four-factorial ratio written as a ratio of two
-    binomials, e.g. ``(N-n)! (N-K)! / (N! (N-K-n)!) = C(N-K, n) / C(N, n)``
-    for ThmA, which is far cheaper to build at large ``N``.
+    The factorial prefactor ``x! y! / (N! (x+y-N)!)`` is built as the
+    binomial ratio ``C(y, N-x) / C(N, N-x)``, which is far cheaper at large
+    ``N``.
     """
-    N, K, n = p.N, p.K, p.n
-    if which is BranchTag.THM_A or which is BranchTag.COR_1A:
-        pref = Fraction(comb(N - K, n), comb(N, n))
-        return pref, 0, Terminating2F1(-n, -K, N - K - n + 1), False
-    if which is BranchTag.THM_B or which is BranchTag.COR_2B:
-        pref = Fraction(comb(K, n + K - N), comb(N, n))
-        return pref, n + K - N, Terminating2F1(n - N, K - N, n + K - N + 1), False
-    if which is BranchTag.COR_1B:
-        pref = Fraction(comb(N - K, n - K), comb(N, n))
-        return pref, K, Terminating2F1(n - N, -K, n - K + 1), True
-    if which is BranchTag.COR_2A:
-        pref = Fraction(comb(K, n), comb(N, n))
-        return pref, n, Terminating2F1(-n, K - N, K - n + 1), True
-    raise DomainError(f"unknown branch tag {which!r}")
+    x, y, s, inverted = _branch_row(p, which)
+    N = p.N
+    pref = Fraction(comb(y, N - x), comb(N, N - x))
+    return pref, s, Terminating2F1(x - N, y - N, x + y - N + 1), inverted
+
+
+def _latex_formula(p: HypergeomParams) -> str:
+    """The canonical branch formula with this triple's numbers substituted in."""
+    x, y, s, _ = _branch_row(p, canonical_branch(p))
+    N = p.N
+    frac = f"\\frac{{{x}!\\,{y}!}}{{{N}!\\,{x + y - N}!}}"
+    power = f"z^{{{s}}}\\," if s else ""
+    series = f"{{}}_2F_1({x - N}, {y - N}; {x + y - N + 1}; z)"
+    return f"G(z) = {frac}\\,{power}{series}"
 
 
 #: Up to this many series terms plus z-power factors the numbers stay at a
@@ -162,9 +178,10 @@ def legacy_pgf_prefactor(p: HypergeomParams) -> Fraction:
     the regime where the classical one-branch expression stops being
     defined.
     """
-    if p.n >= p.N - p.K + 1:
+    x, y, _, _ = _branch_row(p, BranchTag.THM_A)
+    if x + y < p.N:
         raise IndeterminateLegacyFormula(
-            f"(N-K-n)! = ({p.N - p.K - p.n})! does not exist: the classical "
+            f"(N-K-n)! = ({x + y - p.N})! does not exist: the classical "
             f"PGF formula is indeterminate for n >= N-K+1 "
             f"(N={p.N}, K={p.K}, n={p.n})"
         )
@@ -224,13 +241,6 @@ def pgf_eval_branch(p: HypergeomParams, z, which: BranchTag) -> Fraction:
     return _eval_parts(parts, z)
 
 
-def pgf_eval_corollary(p: HypergeomParams, z, which: BranchTag) -> Fraction:
-    """G_X(z) through one of the four symmetric rewrites (Cor1a..Cor2b)."""
-    if which not in COROLLARY_TAGS:
-        raise DomainError(f"expected one of the four rewrite tags, got {which!r}")
-    return pgf_eval_branch(p, z, which)
-
-
 def _reject_nan(t: float, name: str) -> None:
     if math.isnan(t):
         raise DomainError(f"{name} is undefined at t=nan")
@@ -250,7 +260,7 @@ def cf_eval(p: HypergeomParams, t: float) -> complex:
     """Characteristic function phi_X(t) = G_X(e^{it}); |phi| <= 1 always."""
     _reject_nan(t, "phi_X(t)")
     z = cmath.exp(1j * t)
-    value = pgf_polynomial(p).eval_complex(z)
+    value = pgf_polynomial(p).eval_float(z)
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise OverflowError(f"phi_X({t}) produced a non-finite value")
     return value

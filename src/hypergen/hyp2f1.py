@@ -19,7 +19,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .core import DomainError, HypergenError, as_rational
 
@@ -75,16 +75,11 @@ def pochhammer(a, k: int) -> Fraction:
     k = operator.index(k)
     if k < 0:
         raise DomainError(f"pochhammer requires k >= 0 (got k={k})")
-    if isinstance(a, int):
-        prod = 1
-        for i in range(k):
-            prod *= a + i
-        return Fraction(prod)
-    a = as_rational(a)
-    prod = Fraction(1)
-    for i in range(k):
-        prod *= a + i
-    return prod
+    if not isinstance(a, int):
+        a = as_rational(a)
+    # (p/q)_k = p (p+q) ... (p+(k-1)q) / q^k
+    p, q = a.numerator, a.denominator
+    return Fraction(prod(range(p, p + k * q, q)), q**k)
 
 
 def eval_terminating_2f1(f: Terminating2F1, z) -> Fraction:

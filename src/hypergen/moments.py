@@ -20,7 +20,7 @@ import operator
 from fractions import Fraction
 
 from .core import DomainError, HypergeomParams
-from .distribution import BranchTag, _branch_parts, canonical_branch
+from .distribution import _branch_parts, canonical_branch
 from .hyp2f1 import (
     derivative_2f1,
     derivative_z_power_2f1,
@@ -48,11 +48,10 @@ def factorial_moment(p: HypergeomParams, r: int) -> Fraction:
     r = operator.index(r)
     if r < 1:
         raise DomainError(f"factorial moment order must be >= 1 (got r={r})")
-    branch = canonical_branch(p)
-    pref, _shift, f, _ = _branch_parts(p, branch)
-    if branch is BranchTag.THM_A:
+    pref, power, f, _ = _branch_parts(p, canonical_branch(p))
+    if power == 0:
         scale, g = derivative_2f1(f, r)
-    elif r <= f.c - 1:
+    elif r <= power:
         scale, _power, g = derivative_z_power_2f1(f.a, f.b, f.c, r)
     else:
         scale, g = prop1_derivative(f.a, f.b, f.c, r)

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from . import distribution, moments, oracle
 from .core import DomainError, HypergeomParams
-from .distribution import COROLLARY_TAGS, CANONICAL_TAG_ORDER
+from .distribution import COROLLARY_TAGS, CANONICAL_TAG_ORDER, BranchTag
 
 #: Exact evaluation points used by the grid check.  A polynomial of degree
 #: d is pinned down by d+1 distinct points; six rationals spanning negative,
@@ -123,7 +123,7 @@ def check_triple(p: HypergeomParams) -> list[CheckFailure]:
         if got_fm != want:
             fail("factorial_moment", f"r={r}: expected {want}, got {got_fm}")
 
-    if p.n >= p.N - p.K:
+    if BranchTag.THM_B in admitted:
         shift = p.n + p.K - p.N
         partner = HypergeomParams(p.N, p.N - p.K, p.N - p.n)
         theirs = distribution.pgf_polynomial(partner)

@@ -32,7 +32,6 @@ from hypergen import (
     oracle_pgf,
     pgf_eval,
     pgf_eval_branch,
-    pgf_eval_corollary,
     pgf_polynomial,
     scaled_limit_2f1,
     transform_inverse_arg,
@@ -113,7 +112,7 @@ def test_4_corollary_consistency(full_grid, announce, capsys):
         for z in SAMPLE_Z:
             want = pgf_eval(p, z)
             for tag in admitted:
-                if pgf_eval_corollary(p, z, tag) != want:
+                if pgf_eval_branch(p, z, tag) != want:
                     ok = False
 
     code = cli_main(["regions", "4"])

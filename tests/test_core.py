@@ -139,7 +139,7 @@ class TestPgfPolynomial:
     def test_float_and_complex_eval(self):
         poly = PgfPolynomial((Fraction(0), Fraction(1, 2), Fraction(1, 2)))
         assert poly.eval_float(2.0) == pytest.approx(3.0, rel=1e-15)
-        value = poly.eval_complex(1 + 0j)
+        value = poly.eval_float(1 + 0j)
         assert value.real == pytest.approx(1.0, rel=1e-15)
         assert value.imag == 0.0
 

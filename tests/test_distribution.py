@@ -23,7 +23,6 @@ from hypergen import (
     oracle_pgf,
     pgf_eval,
     pgf_eval_branch,
-    pgf_eval_corollary,
     pgf_polynomial,
     pmf,
 )
@@ -170,17 +169,13 @@ class TestBranchEvaluation:
         p = make_params(4, 3, 3)
         for z in (Fraction(-2), Fraction(2), Fraction(7, 5)):
             want = Fraction(3, 4) * z**2 + Fraction(1, 4) * z**3
-            assert pgf_eval_corollary(p, z, BranchTag.COR_1B) == want
+            assert pgf_eval_branch(p, z, BranchTag.COR_1B) == want
 
     def test_cor2a_frozen(self):
         p = make_params(4, 3, 1)
         for z in (Fraction(-2), Fraction(2), Fraction(7, 5)):
             want = Fraction(1, 4) + Fraction(3, 4) * z
-            assert pgf_eval_corollary(p, z, BranchTag.COR_2A) == want
-
-    def test_corollary_eval_rejects_main_branches(self):
-        with pytest.raises(DomainError):
-            pgf_eval_corollary(make_params(4, 2, 3), 2, BranchTag.THM_B)
+            assert pgf_eval_branch(p, z, BranchTag.COR_2A) == want
 
 
 class TestLegacyPrefactor:

@@ -87,6 +87,18 @@ class TestPochhammer:
     def test_recurrence_fraction(self, a, k):
         assert pochhammer(a, k + 1) == pochhammer(a, k) * (a + k)
 
+    @given(
+        st.one_of(st.integers(-40, 40), st.fractions(min_value=-40, max_value=40, max_denominator=60)),
+        st.integers(0, 25),
+    )
+    def test_matches_fraction_loop(self, a, k):
+        want = Fraction(1)
+        for i in range(k):
+            want *= a + i
+        got = pochhammer(a, k)
+        assert isinstance(got, Fraction)
+        assert got == want
+
 
 class TestEvaluation:
     def test_frozen_values(self):
