@@ -24,11 +24,13 @@ class DomainError(HypergenError, ValueError):
 
 
 def as_rational(value) -> Fraction:
-    """Coerce ``value`` to a Fraction, rejecting floats.
+    """Coerce ``value`` to a Fraction, rejecting floats; a Fraction is returned as is.
 
     Floats are refused on purpose: silently converting them would launder
     rounding error into paths that promise exact results.
     """
+    if type(value) is Fraction:  # immutable and already in lowest terms
+        return value
     if isinstance(value, float):
         raise DomainError(f"exact arithmetic requires int or Fraction, got float {value!r}")
     try:

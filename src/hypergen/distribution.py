@@ -27,6 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+import sys
 from enum import Enum
 from fractions import Fraction
 from math import comb, factorial
@@ -246,11 +247,41 @@ def _reject_nan(t: float, name: str) -> None:
         raise DomainError(f"{name} is undefined at t=nan")
 
 
+def _mgf_or_log(p: HypergeomParams, t: float) -> tuple[float, bool]:
+    """``(M_X(t), False)`` by double-precision Horner at e^t, or ``(ln M_X(t), True)``.
+
+    The log is taken when, at a finite ``t``, e^t overflows or the Horner
+    value is 0, subnormal or infinite: it is the log-sum-exp of
+    ``t k + ln c_k`` over the nonzero coefficients, with ``ln c_k`` from the
+    exact numerator and denominator, which ``math.log`` takes at any size.
+    The polynomial stays local to this helper, so the callers' errors do
+    not keep it alive through their tracebacks.
+    """
+    poly = pgf_polynomial(p)
+    try:
+        value = poly.eval_float(math.exp(t))
+        if not math.isfinite(t) or sys.float_info.min <= value < math.inf:
+            return value, False
+    except OverflowError:
+        pass
+    logs = [
+        t * k + math.log(c.numerator) - math.log(c.denominator)
+        for k, c in enumerate(poly.coeffs)
+        if c
+    ]
+    top = max(logs)
+    return top + math.log(math.fsum(math.exp(x - top) for x in logs)), True
+
+
 def mgf_eval(p: HypergeomParams, t: float) -> float:
     """Moment-generating function M_X(t) = G_X(e^t) in double precision."""
     _reject_nan(t, "M_X(t)")
-    x = math.exp(t)  # OverflowError for t beyond the float range
-    value = pgf_polynomial(p).eval_float(x)
+    value, is_log = _mgf_or_log(p, t)
+    if is_log:
+        try:
+            return math.exp(value)
+        except OverflowError:
+            raise OverflowError(f"M_X({t}) overflows double precision") from None
     if not math.isfinite(value):
         raise OverflowError(f"M_X({t}) overflows double precision")
     return value
@@ -269,15 +300,15 @@ def cf_eval(p: HypergeomParams, t: float) -> complex:
 def cgf_eval(p: HypergeomParams, t: float) -> float:
     """Cumulant-generating function ln M_X(t); zero at t = 0.
 
-    Raises ``OverflowError`` when M_X(t) underflows to 0.0, as it does for
-    very negative ``t`` once the support starts above 0.
+    Finite wherever ``t`` is: where the double-precision M_X(t) is out of
+    range, it is the log-sum-exp of :func:`_mgf_or_log`.
     """
     _reject_nan(t, "ln M_X(t)")
-    value = mgf_eval(p, t)
-    if value == 0.0:
-        raise OverflowError(
-            f"M_X({t}) underflows to 0 in double precision; ln M_X({t}) is out of range"
-        )
+    value, is_log = _mgf_or_log(p, t)
+    if is_log:
+        return value
+    if not 0.0 < value < math.inf:  # t = -inf or +inf
+        raise OverflowError(f"ln M_X({t}) is out of double range")
     return math.log(value)
 
 

@@ -48,6 +48,8 @@ def factorial_moment(p: HypergeomParams, r: int) -> Fraction:
     r = operator.index(r)
     if r < 1:
         raise DomainError(f"factorial moment order must be >= 1 (got r={r})")
+    if r > p.support_hi:
+        return Fraction(0)
     pref, power, f, _ = _branch_parts(p, canonical_branch(p))
     if power == 0:
         scale, g = derivative_2f1(f, r)
@@ -55,8 +57,6 @@ def factorial_moment(p: HypergeomParams, r: int) -> Fraction:
         scale, _power, g = derivative_z_power_2f1(f.a, f.b, f.c, r)
     else:
         scale, g = prop1_derivative(f.a, f.b, f.c, r)
-    if scale == 0:
-        return Fraction(0)
     return pref * scale * gauss_value_at_one(g)
 
 
@@ -90,24 +90,22 @@ def variance(p: HypergeomParams) -> Fraction:
     )
 
 
-def stirling2_triangle(max_j: int) -> list[list[int]]:
-    """Rows 0..max_j of Stirling numbers of the second kind, S(j, s).
+def _stirling2_rows(max_j: int, cut: int):
+    """Rows 0..max_j of S(j, s) = s S(j-1, s) + S(j-1, s-1), each cut after column ``cut``."""
+    row = [1]
+    yield row
+    for j in range(1, max_j + 1):
+        prev = row + [0]
+        row = [0] + [s * prev[s] + prev[s - 1] for s in range(1, min(j, cut) + 1)]
+        yield row
 
-    Standard triangular recurrence ``S(j, s) = s S(j-1, s) + S(j-1, s-1)``
-    over exact integers.
-    """
+
+def stirling2_triangle(max_j: int) -> list[list[int]]:
+    """Rows 0..max_j of Stirling numbers of the second kind, S(j, s), as exact integers."""
     max_j = operator.index(max_j)
     if max_j < 0:
         raise DomainError(f"need max_j >= 0 (got {max_j})")
-    rows = [[1]]
-    for j in range(1, max_j + 1):
-        prev = rows[-1]
-        row = [0] * (j + 1)
-        for s in range(1, j + 1):
-            row[s] = s * prev[s] if s < len(prev) else 0
-            row[s] += prev[s - 1]
-        rows.append(row)
-    return rows
+    return list(_stirling2_rows(max_j, max_j))
 
 
 def raw_moments(p: HypergeomParams, max_r: int) -> list[Fraction]:
@@ -123,8 +121,8 @@ def raw_moments(p: HypergeomParams, max_r: int) -> list[Fraction]:
 
 def raw_moments_from_factorial(fms: list[Fraction]) -> list[Fraction]:
     """E[X^j] for j = 1..len(fms), given ``fms[s-1] = E[X(X-1)...(X-s+1)]``."""
-    stirling = stirling2_triangle(len(fms))
-    return [
-        sum((stirling[j][s] * fms[s - 1] for s in range(1, j + 1)), Fraction(0))
-        for j in range(1, len(fms) + 1)
-    ]
+    # Stirling columns past the last nonzero factorial moment would only multiply zeros
+    last = max((s for s, fm in enumerate(fms, 1) if fm), default=0)
+    rows = _stirling2_rows(len(fms), last)
+    next(rows)  # row 0 belongs to E[X^0]
+    return [sum((row[s] * fms[s - 1] for s in range(1, len(row))), Fraction(0)) for row in rows]

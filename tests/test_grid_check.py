@@ -134,9 +134,9 @@ def test_nan_t_is_a_domain_error(fn):
         fn(make_params(10, 5, 5), math.nan)
 
 
-def test_cgf_underflow_is_an_overflow_error():
-    with pytest.raises(OverflowError, match="underflows"):
-        cgf_eval(make_params(10, 8, 5), -1000.0)
+def test_cgf_past_mgf_underflow_is_the_log_sum_exp():
+    # M_X(-1000) underflows to 0.0; ln M_X(-1000) = -3000 + ln P(X=3) does not
+    assert cgf_eval(make_params(10, 8, 5), -1000.0) == pytest.approx(-3001.504077396776, rel=1e-15)
 
 
 def _cli(*argv):
@@ -149,7 +149,7 @@ def _cli(*argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("eval", "10", "8", "5", "--at=-1000", "--kind", "cgf"),
+        ("eval", "10", "8", "5", "--at=-inf", "--kind", "cgf"),
         ("eval", "10", "5", "5", "--at", "nan", "--kind", "mgf"),
         ("eval", "10", "5", "5", "--at", "nan", "--kind", "cgf"),
         ("eval", "10", "5", "5", "--at", "nan", "--kind", "cf"),
@@ -162,3 +162,9 @@ def test_cli_float_layer_errors_exit_2_without_traceback(argv):
     assert done.stderr.startswith("error: ")
     assert "Traceback" not in done.stderr
     assert "overflows" not in done.stderr
+
+
+def test_cli_cgf_past_mgf_underflow_prints_the_value():
+    done = _cli("eval", "10", "8", "5", "--at=-1000", "--kind", "cgf")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert float(done.stdout) == pytest.approx(-3001.504077396776, rel=1e-15)
