@@ -254,7 +254,8 @@ def _mgf_or_log(p: HypergeomParams, t: float) -> tuple[float, bool]:
     value is 0, subnormal or infinite: it is the log-sum-exp of
     ``t k + ln c_k`` over the nonzero coefficients, with ``ln c_k`` from the
     exact numerator and denominator, which ``math.log`` takes at any size.
-    The polynomial stays local to this helper, so the callers' errors do
+    That log is ``inf`` or ``-inf`` where ``|t| k`` leaves the double range,
+    so ln M_X(t) does too.  The polynomial stays local to this helper, so the callers' errors do
     not keep it alive through their tracebacks.
     """
     poly = pgf_polynomial(p)
@@ -270,6 +271,8 @@ def _mgf_or_log(p: HypergeomParams, t: float) -> tuple[float, bool]:
         if c
     ]
     top = max(logs)
+    if math.isinf(top):
+        return top, True
     return top + math.log(math.fsum(math.exp(x - top) for x in logs)), True
 
 
@@ -279,9 +282,9 @@ def mgf_eval(p: HypergeomParams, t: float) -> float:
     value, is_log = _mgf_or_log(p, t)
     if is_log:
         try:
-            return math.exp(value)
+            value = math.exp(value)
         except OverflowError:
-            raise OverflowError(f"M_X({t}) overflows double precision") from None
+            value = math.inf
     if not math.isfinite(value):
         raise OverflowError(f"M_X({t}) overflows double precision")
     return value
@@ -300,16 +303,18 @@ def cf_eval(p: HypergeomParams, t: float) -> complex:
 def cgf_eval(p: HypergeomParams, t: float) -> float:
     """Cumulant-generating function ln M_X(t); zero at t = 0.
 
-    Finite wherever ``t`` is: where the double-precision M_X(t) is out of
-    range, it is the log-sum-exp of :func:`_mgf_or_log`.
+    Where the double-precision M_X(t) is out of range, it is the
+    log-sum-exp of :func:`_mgf_or_log`, finite unless ``|t| k`` itself
+    leaves the double range for some ``k`` in the support (or ``t`` is
+    infinite); there it raises ``OverflowError``.
     """
     _reject_nan(t, "ln M_X(t)")
     value, is_log = _mgf_or_log(p, t)
-    if is_log:
-        return value
-    if not 0.0 < value < math.inf:  # t = -inf or +inf
+    if not is_log:  # only t = -inf or +inf leaves M_X(t) at 0 or inf here
+        value = math.log(value) if 0.0 < value < math.inf else math.inf
+    if math.isinf(value):
         raise OverflowError(f"ln M_X({t}) is out of double range")
-    return math.log(value)
+    return value
 
 
 def legendre_case_pgf(m: int, z) -> Fraction:

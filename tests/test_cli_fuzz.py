@@ -1,8 +1,9 @@
-"""Every CLI invocation ends with exit code 0, 1 or 2 and never a traceback.
+"""Every CLI invocation ends with exit code 0, 1 or 2, never a traceback, never ``nan``.
 
 Hypothesis draws argv for the five subcommands with small sizes and odd
 ``--at`` text; each draw runs in-process through :func:`hypergen.cli.main`,
-where a traceback would be an exception escaping ``main``.
+where a traceback would be an exception escaping ``main``.  A NaN ``--at``
+is refused, so no command may print ``nan``.
 """
 
 import contextlib
@@ -20,6 +21,7 @@ TRIPLE = VALID_TRIPLE.map(lambda t: [str(x) for x in t]) | st.lists(SIZE, min_si
 ODD_AT = [
     "nan", "-nan", "inf", "+inf", "-inf", "1e400", "-1e400", "-0", "0", "1/0", "2/-3",
     "1_000", "٣", "٣/٤", "１２", "1/٣", "0x10", " 1", "", "1e-400", "-1000", "709.8", "-745.2",
+    "1e308", "-1e308", "1.7976931348623157e308",
     "7" * 5000 + "/3", "1/" + "9" * 5000,
 ]
 LONG_RATIONAL = st.builds(lambda p, q: f"{p}/{q}", st.integers(-(10**60), 10**60), st.integers(1, 10**60))
@@ -58,9 +60,14 @@ ARGV = st.one_of(
 @example(["eval", "10", "8", "5", "--at=-inf", "--kind=cgf"])
 @example(["eval", "10", "5", "5", "--at=nan", "--kind=mgf"])
 @example(["eval", "4", "2", "3", "--at=" + "7" * 5000 + "/3"])
+@example(["eval", "5", "5", "3", "--at=1e308", "--kind=cgf"])
+@example(["eval", "5", "5", "3", "--at=1e308", "--kind=mgf"])
+@example(["eval", "10", "8", "5", "--at=-1e308", "--kind=cgf"])
+@example(["eval", "10", "8", "5", "--at=-1e308", "--kind=mgf"])
 def test_cli_exit_code_is_0_1_or_2_without_traceback(argv):
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue(), argv
+    assert "nan" not in out.getvalue().lower().split(), argv

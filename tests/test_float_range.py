@@ -73,6 +73,44 @@ def test_cgf_matches_mpmath(p, t):
     assert cgf_eval(p, t) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
+# |t| k leaves the double range for some k in the support, so ln M_X(t) does
+# too: +inf at (5, 5, 3), where X = 3, and -inf at (10, 8, 5), where X >= 3
+PAST_DOUBLE_RANGE = [((5, 5, 3), 1e308, "overflow"), ((10, 8, 5), -1e308, 0.0), ((10, 8, 5), 1e308, "overflow")]
+
+
+@given(param_triples(max_N=60), st.floats(allow_nan=False, allow_infinity=False))
+def test_cgf_over_every_finite_t_is_the_mpmath_value_or_a_named_overflow(p, t):
+    expected = mp_log_mgf(p.N, p.K, p.n, t)
+    if math.isinf(expected):
+        with pytest.raises(OverflowError, match=r"ln M_X\("):
+            cgf_eval(p, t)
+    else:
+        assert cgf_eval(p, t) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    try:
+        assert not math.isnan(mgf_eval(p, t))
+    except OverflowError:
+        assert expected > math.log(sys.float_info.max)
+
+
+@pytest.mark.parametrize(("params", "t", "mgf"), PAST_DOUBLE_RANGE)
+def test_log_past_double_range_is_a_named_overflow(params, t, mgf):
+    p = make_params(*params)
+    with pytest.raises(OverflowError, match=r"ln M_X\("):
+        cgf_eval(p, t)
+    if mgf == "overflow":
+        with pytest.raises(OverflowError, match=r"M_X\("):
+            mgf_eval(p, t)
+    else:
+        assert mgf_eval(p, t) == mgf
+
+
+def test_log_stays_finite_while_one_term_does():
+    # support starts at 0, so ln c_0 keeps the log-sum-exp finite at any t <= 0
+    p = make_params(10, 5, 5)
+    assert cgf_eval(p, -1e308) == math.log(1 / 252)
+    assert mgf_eval(p, -1e308) == 1 / 252
+
+
 @pytest.mark.parametrize("t", [math.inf, -math.inf])
 def test_non_finite_t_keeps_its_behaviour(t):
     p = make_params(10, 8, 5)  # support starts at 3, so M_X(-inf) = 0
