@@ -15,10 +15,8 @@ from .core import (
     as_rational,
     binomial,
     make_params,
-    support,
 )
 from .distribution import (
-    CANONICAL_TAG_ORDER,
     COROLLARY_TAGS,
     THEOREM_TAGS,
     BranchTag,
@@ -39,11 +37,9 @@ from .distribution import (
 from .hyp2f1 import (
     Terminating2F1,
     UndefinedHypergeometric,
-    UseProposition1,
     derivative_2f1,
     derivative_z_power_2f1,
     eval_terminating_2f1,
-    eval_terminating_2f1_float,
     gauss_value_at_one,
     pochhammer,
     prop1_derivative,
@@ -81,7 +77,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundExceeded",
     "BranchTag",
-    "CANONICAL_TAG_ORDER",
     "COROLLARY_TAGS",
     "CheckFailure",
     "DEFAULT_N_BOUND",
@@ -94,7 +89,6 @@ __all__ = [
     "THEOREM_TAGS",
     "Terminating2F1",
     "UndefinedHypergeometric",
-    "UseProposition1",
     "VerificationReport",
     "as_rational",
     "binomial",
@@ -107,7 +101,6 @@ __all__ = [
     "derivative_2f1",
     "derivative_z_power_2f1",
     "eval_terminating_2f1",
-    "eval_terminating_2f1_float",
     "factorial_moment",
     "factorial_moment_closed_form",
     "falling_factorial",
@@ -131,7 +124,6 @@ __all__ = [
     "scaled_limit_2f1",
     "series_coefficients",
     "stirling2_triangle",
-    "support",
     "transform_inverse_arg",
     "transform_one_minus_z",
     "variance",

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import distribution, moments, verify
 from .core import DomainError, HypergenError, make_params
-from .distribution import CANONICAL_TAG_ORDER, BranchTag
+from .distribution import BranchTag
 
 # integer or p/q with a positive denominator; anything float-shaped is refused
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
@@ -150,7 +150,7 @@ def cmd_regions(args: argparse.Namespace) -> int:
     for n in range(args.N + 1):
         for K in range(args.N + 1):
             tags = distribution.classify_regions(make_params(args.N, K, n))
-            ordered = "|".join(t.value for t in CANONICAL_TAG_ORDER if t in tags)
+            ordered = "|".join(t.value for t in BranchTag if t in tags)
             print(f"{n},{K},{ordered}")
     return 0
 

@@ -80,15 +80,6 @@ def make_params(N: int, K: int, n: int) -> HypergeomParams:
     return HypergeomParams(N, K, n)
 
 
-def support(p: HypergeomParams) -> tuple[int, int]:
-    """Inclusive range ``(lo, hi)`` of outcomes with positive probability.
-
-    ``lo = max(0, n+K-N)`` and ``hi = min(n, K)``; ``lo <= hi`` holds for all
-    valid parameters.
-    """
-    return (p.support_lo, p.support_hi)
-
-
 def binomial(m: int, j: int) -> int:
     """Binomial coefficient ``C(m, j)`` as an exact integer.
 

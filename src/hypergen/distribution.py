@@ -46,7 +46,10 @@ class IndeterminateLegacyFormula(HypergenError):
 
 
 class BranchTag(Enum):
-    """Which closed-form expression of the PGF a parameter point admits."""
+    """Which closed-form expression of the PGF a parameter point admits.
+
+    Members iterate in the fixed order that CLI output and reports use.
+    """
 
     THM_A = "ThmA"
     THM_B = "ThmB"
@@ -55,16 +58,6 @@ class BranchTag(Enum):
     COR_2A = "Cor2a"
     COR_2B = "Cor2b"
 
-
-#: Stable presentation order for branch tags (CLI output, reports).
-CANONICAL_TAG_ORDER = (
-    BranchTag.THM_A,
-    BranchTag.THM_B,
-    BranchTag.COR_1A,
-    BranchTag.COR_1B,
-    BranchTag.COR_2A,
-    BranchTag.COR_2B,
-)
 
 THEOREM_TAGS = frozenset({BranchTag.THM_A, BranchTag.THM_B})
 COROLLARY_TAGS = frozenset(
@@ -247,10 +240,15 @@ def _reject_nan(t: float, name: str) -> None:
         raise DomainError(f"{name} is undefined at t=nan")
 
 
-def _mgf_or_log(p: HypergeomParams, t: float) -> tuple[float, bool]:
-    """``(M_X(t), False)`` by double-precision Horner at e^t, or ``(ln M_X(t), True)``.
+def _mgf_or_log(p: HypergeomParams, t: float) -> tuple[float, str]:
+    """M_X(t) as ``(value, form)``, with ``form`` one of ``"M"``, ``"M-1"`` and ``"ln M"``.
 
-    The log is taken when, at a finite ``t``, e^t overflows or the Horner
+    ``"M"`` is the double-precision Horner value at e^t.  Where that value
+    lies in [1/2, 2], ``log`` of it would have condition number at least
+    1/ln 2 and lose ln M_X(t) near t = 0, so the value is
+    ``M_X(t) - 1 = sum c_k expm1(t k)`` instead: every term has the sign of
+    ``t``, so the sum does not cancel, and it is exactly 0 at t = 0.
+    ``"ln M"`` is taken when, at a finite ``t``, e^t overflows or the Horner
     value is 0, subnormal or infinite: it is the log-sum-exp of
     ``t k + ln c_k`` over the nonzero coefficients, with ``ln c_k`` from the
     exact numerator and denominator, which ``math.log`` takes at any size.
@@ -261,8 +259,12 @@ def _mgf_or_log(p: HypergeomParams, t: float) -> tuple[float, bool]:
     poly = pgf_polynomial(p)
     try:
         value = poly.eval_float(math.exp(t))
-        if not math.isfinite(t) or sys.float_info.min <= value < math.inf:
-            return value, False
+        if not math.isfinite(t):
+            return value, "M"
+        if 0.5 <= value <= 2.0:
+            return math.fsum(float(c) * math.expm1(t * k) for k, c in enumerate(poly.coeffs)), "M-1"
+        if sys.float_info.min <= value < math.inf:
+            return value, "M"
     except OverflowError:
         pass
     logs = [
@@ -272,15 +274,17 @@ def _mgf_or_log(p: HypergeomParams, t: float) -> tuple[float, bool]:
     ]
     top = max(logs)
     if math.isinf(top):
-        return top, True
-    return top + math.log(math.fsum(math.exp(x - top) for x in logs)), True
+        return top, "ln M"
+    return top + math.log(math.fsum(math.exp(x - top) for x in logs)), "ln M"
 
 
 def mgf_eval(p: HypergeomParams, t: float) -> float:
     """Moment-generating function M_X(t) = G_X(e^t) in double precision."""
     _reject_nan(t, "M_X(t)")
-    value, is_log = _mgf_or_log(p, t)
-    if is_log:
+    value, form = _mgf_or_log(p, t)
+    if form == "M-1":
+        value += 1.0
+    elif form == "ln M":
         try:
             value = math.exp(value)
         except OverflowError:
@@ -301,7 +305,7 @@ def cf_eval(p: HypergeomParams, t: float) -> complex:
 
 
 def cgf_eval(p: HypergeomParams, t: float) -> float:
-    """Cumulant-generating function ln M_X(t); zero at t = 0.
+    """Cumulant-generating function ln M_X(t); exactly zero at t = 0.
 
     Where the double-precision M_X(t) is out of range, it is the
     log-sum-exp of :func:`_mgf_or_log`, finite unless ``|t| k`` itself
@@ -309,8 +313,10 @@ def cgf_eval(p: HypergeomParams, t: float) -> float:
     infinite); there it raises ``OverflowError``.
     """
     _reject_nan(t, "ln M_X(t)")
-    value, is_log = _mgf_or_log(p, t)
-    if not is_log:  # only t = -inf or +inf leaves M_X(t) at 0 or inf here
+    value, form = _mgf_or_log(p, t)
+    if form == "M-1":
+        value = math.log1p(value)
+    elif form == "M":  # only t = -inf or +inf leaves M_X(t) at 0 or inf here
         value = math.log(value) if 0.0 < value < math.inf else math.inf
     if math.isinf(value):
         raise OverflowError(f"ln M_X({t}) is out of double range")

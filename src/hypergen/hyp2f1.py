@@ -28,14 +28,6 @@ class UndefinedHypergeometric(HypergenError):
     """The hypergeometric function does not exist at the requested parameters."""
 
 
-class UseProposition1(HypergenError):
-    """Dispatch signal: the z-power derivative rule left its validity range.
-
-    Raised by :func:`derivative_z_power_2f1` when ``c - r <= 0``; the caller
-    should switch to :func:`prop1_derivative`.
-    """
-
-
 @dataclass(frozen=True)
 class Terminating2F1:
     """Validated parameter triple ``(a, b, c)`` of a terminating series.
@@ -108,25 +100,6 @@ def _horner_pair(f: Terminating2F1, p: int, q: int) -> tuple[int, int]:
         v *= (c + k) * (k + 1) * q
         u = v + (a + k) * (b + k) * p * u
     return u, v
-
-
-def eval_terminating_2f1_float(f: Terminating2F1, z: float) -> float:
-    """Double-precision mirror of :func:`eval_terminating_2f1`.
-
-    Uses compensated (Kahan) summation.  Advisory only: nothing exact is
-    ever derived from this path.
-    """
-    z = float(z)
-    total = 1.0
-    comp = 0.0
-    term = 1.0
-    for k in range(f.termination_index - 1):
-        term = term * (f.a + k) * (f.b + k) * z / ((f.c + k) * (k + 1))
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
 
 
 def series_coefficients(f: Terminating2F1) -> tuple[Fraction, ...]:
@@ -245,7 +218,7 @@ def derivative_z_power_2f1(a: int, b: int, c: int, r: int) -> tuple[Fraction, in
 
     ``d^r/dz^r (z^{c-1} 2F1(a,b;c;z)) = (c-r)_r z^{c-r-1} 2F1(a,b;c-r;z)``;
     returns ``(scale, power, g)`` for those three parts.  Raises
-    :class:`UseProposition1` once ``c - r <= 0``; the supplement rule
+    :class:`DomainError` once ``c - r <= 0``; the supplement rule
     :func:`prop1_derivative` covers that range.
     """
     a = operator.index(a)
@@ -257,9 +230,9 @@ def derivative_z_power_2f1(a: int, b: int, c: int, r: int) -> tuple[Fraction, in
     if r < 0:
         raise DomainError(f"derivative order must be >= 0 (got r={r})")
     if c - r <= 0:
-        raise UseProposition1(
-            f"c - r = {c - r} <= 0: the z-power rule is invalid here, "
-            "use prop1_derivative"
+        raise DomainError(
+            f"r must satisfy r < c (got r={r}, c={c}); "
+            "use prop1_derivative for r >= c"
         )
     scale = pochhammer(c - r, r)
     return scale, c - r - 1, Terminating2F1(a, b, c - r)
@@ -298,12 +271,13 @@ def prop1_derivative(a: int, b: int, m: int, r: int) -> tuple[Fraction, Terminat
 
 
 def gauss_value_at_one(f: Terminating2F1) -> Fraction:
-    """Exact value of the terminating series at z = 1.
+    """Exact value of the terminating series at z = 1, with no series summed.
 
-    Computed by direct summation; for a terminating series this agrees with
-    the classical gamma-ratio value
-    ``Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b))`` whenever all four
-    gamma arguments are positive integers, and with the Chu-Vandermonde
-    ratio ``(c-b)_{|a|} / (c)_{|a|}`` for ``a <= 0``.
+    Chu-Vandermonde (DLMF 15.4.24): with ``-m`` the upper parameter at which
+    the series stops and ``b`` the other one,
+    ``2F1(-m, b; c; 1) = (c-b)_m / (c)_m``, taken as one quotient of the
+    two integer products, so small series pay for a single Fraction.
     """
-    return eval_terminating_2f1(f, Fraction(1))
+    m = f.termination_index - 1
+    lo = f.c - (f.b if f.a == -m else f.a)
+    return Fraction(prod(range(lo, lo + m)), prod(range(f.c, f.c + m)))

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from . import distribution, moments, oracle
 from .core import DomainError, HypergeomParams
-from .distribution import COROLLARY_TAGS, CANONICAL_TAG_ORDER, BranchTag
+from .distribution import COROLLARY_TAGS, BranchTag
 
 #: Exact evaluation points used by the grid check.  A polynomial of degree
 #: d is pinned down by d+1 distinct points; six rationals spanning negative,
@@ -104,7 +104,7 @@ def check_triple(p: HypergeomParams) -> list[CheckFailure]:
     direct_parts = distribution._branch_parts(p, distribution.canonical_branch(p))
     rewrites = [
         (tag, distribution._branch_parts(p, tag))
-        for tag in CANONICAL_TAG_ORDER
+        for tag in BranchTag
         if tag in COROLLARY_TAGS and tag in admitted
     ]
     for z in SAMPLE_Z:
@@ -183,8 +183,10 @@ def oracle_grid_check(n_max: int, *, bound: int | None = None, jobs: int = 1) ->
         from concurrent.futures import ProcessPoolExecutor
 
         # Largest population first, so no worker is left with a big N at
-        # the end; the results are put back in N order.
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the end; the results are put back in N order.  The pool forks all
+        # its workers at start, so it asks for no more than there are
+        # populations.
+        with ProcessPoolExecutor(max_workers=min(jobs, n_max + 1)) as pool:
             results = list(pool.map(_check_population, range(n_max, -1, -1)))[::-1]
 
     n_checked = sum(r[0] for r in results)

@@ -8,7 +8,7 @@ stale or repeated exports.
 import argparse
 
 import hypergen
-from hypergen import CANONICAL_TAG_ORDER, classify_regions, make_params
+from hypergen import BranchTag, classify_regions, make_params
 from hypergen import cli, distribution
 
 
@@ -36,7 +36,7 @@ def test_row_exists_exactly_where_regions_admit():
             for n in range(N + 1):
                 p = make_params(N, K, n)
                 admitted = classify_regions(p)
-                for tag in CANONICAL_TAG_ORDER:
+                for tag in BranchTag:
                     x, y, _, _ = distribution._branch_row(p, tag)
                     assert (x + y >= N) == (tag in admitted), (N, K, n, tag)
 

@@ -14,7 +14,6 @@ from hypergen import (
     as_rational,
     binomial,
     make_params,
-    support,
 )
 
 
@@ -87,11 +86,12 @@ class TestSupport:
         ],
     )
     def test_frozen(self, N, K, n, lo, hi):
-        assert support(make_params(N, K, n)) == (lo, hi)
+        p = make_params(N, K, n)
+        assert (p.support_lo, p.support_hi) == (lo, hi)
 
     @given(param_triples())
     def test_bounds(self, p):
-        lo, hi = support(p)
+        lo, hi = p.support_lo, p.support_hi
         assert lo == max(0, p.n + p.K - p.N)
         assert hi == min(p.n, p.K)
         assert 0 <= lo <= hi <= p.n
@@ -160,5 +160,6 @@ class TestPgfPolynomial:
 
 @given(param_triples())
 def test_params_index_semantics(p):
-    # properties and the support helper must agree
-    assert (p.support_lo, p.support_hi) == support(p)
+    # the support properties delimit exactly the outcomes of positive mass
+    positive = [k for k in range(p.n + 1) if binomial(p.K, k) * binomial(p.N - p.K, p.n - k)]
+    assert positive == list(range(p.support_lo, p.support_hi + 1))

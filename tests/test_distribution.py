@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from conftest import REGIONS_4_ROWS, param_triples
 from hypergen import (
-    CANONICAL_TAG_ORDER,
     BranchTag,
     DomainError,
     IndeterminateLegacyFormula,
@@ -79,9 +78,6 @@ class TestRegions:
         # the overlap line n = N-K resolves to the lower branch
         assert canonical_branch(make_params(6, 2, 4)) is BranchTag.THM_A
         assert canonical_branch(make_params(6, 2, 5)) is BranchTag.THM_B
-
-    def test_tag_order_is_complete(self):
-        assert set(CANONICAL_TAG_ORDER) == set(BranchTag)
 
 
 class TestPolynomial:

@@ -32,6 +32,7 @@ from hypergen import (
     pgf_eval_branch,
 )
 from hypergen import distribution, moments
+from hypergen.cli import main as cli_main
 
 
 def test_corrupted_rewrite_parts_fail_corollary_branch(monkeypatch):
@@ -95,6 +96,31 @@ def test_failing_grid_report_does_not_depend_on_jobs(monkeypatch):
     assert serial.n_failed > 25
     assert len({f.N for f in serial.failures}) > 2
     assert oracle_grid_check(9, jobs=2) == serial
+
+
+def test_verify_asks_for_no_more_workers_than_populations(monkeypatch, capsys):
+    import concurrent.futures
+
+    asked = []
+
+    class SerialPool:  # records the pool size and starts no process
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    assert cli_main(["verify", "--n-max", "2", "--jobs", "100000"]) == 0
+    assert capsys.readouterr().out == "checked 14 triples, 0 failures\n"
+    assert oracle_grid_check(4, jobs=2) == oracle_grid_check(4)
+    assert asked == [3, 2]
 
 
 def _fraction_horner(coeffs, z):

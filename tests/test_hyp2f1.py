@@ -2,18 +2,16 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hypergen import (
     DomainError,
     Terminating2F1,
     UndefinedHypergeometric,
-    UseProposition1,
     derivative_2f1,
     derivative_z_power_2f1,
     eval_terminating_2f1,
-    eval_terminating_2f1_float,
     gauss_value_at_one,
     pochhammer,
     prop1_derivative,
@@ -132,13 +130,6 @@ class TestEvaluation:
         rhs = eval_terminating_2f1(Terminating2F1(b, -m, c), z)
         assert lhs == rhs
 
-    def test_float_mirror_close(self):
-        f = Terminating2F1(-6, -9, 4)
-        for z in SAMPLE_Z:
-            exact = float(eval_terminating_2f1(f, z))
-            approx = eval_terminating_2f1_float(f, float(z))
-            assert approx == pytest.approx(exact, rel=1e-12)
-
     def test_eval_rejects_float(self):
         with pytest.raises(DomainError):
             eval_terminating_2f1(Terminating2F1(-1, -2, 2), 0.5)
@@ -149,11 +140,15 @@ class TestValueAtOne:
         assert gauss_value_at_one(Terminating2F1(-1, -2, 2)) == 2
         assert gauss_value_at_one(Terminating2F1(-2, -2, 2)) == Fraction(10, 3)
 
-    @given(st.integers(0, 8), st.integers(-8, 8), st.integers(1, 9))
-    def test_chu_vandermonde(self, m, b, c):
-        # (c-b)_m / (c)_m for the -m upper parameter
-        f = Terminating2F1(-m, b, c)
-        assert gauss_value_at_one(f) == pochhammer(c - b, m) / pochhammer(c, m)
+    @given(st.integers(0, 8), st.integers(-12, 12), st.integers(1, 12), st.booleans())
+    @example(5, -2, 3, False)
+    @example(5, -2, 3, True)
+    @example(3, 4, 2, True)
+    def test_chu_vandermonde(self, m, b, c, swap):
+        # the closed form against the summed series, with -m in either slot;
+        # b may be positive or stop the series before -m does
+        f = Terminating2F1(b, -m, c) if swap else Terminating2F1(-m, b, c)
+        assert gauss_value_at_one(f) == sum(series_coefficients(f))
 
 
 class TestScaledLimit:
@@ -269,17 +264,16 @@ class TestDerivatives:
                 got = scale * z**power * eval_terminating_2f1(g, z)
                 assert got == eval_poly(expected, z)
 
-    def test_z_power_rule_dispatch_boundary(self):
-        with pytest.raises(UseProposition1):
-            derivative_z_power_2f1(-3, -5, 4, 4)
-        with pytest.raises(UseProposition1):
-            derivative_z_power_2f1(-3, -5, 4, 7)
-
     def test_z_power_rule_domain(self):
         with pytest.raises(DomainError):
             derivative_z_power_2f1(-3, -5, 0, 1)
         with pytest.raises(DomainError):
             derivative_z_power_2f1(-3, -5, 4, -1)
+        # from r = c on, the supplement rule takes over
+        with pytest.raises(DomainError, match="prop1_derivative"):
+            derivative_z_power_2f1(-3, -5, 4, 4)
+        with pytest.raises(DomainError, match="prop1_derivative"):
+            derivative_z_power_2f1(-3, -5, 4, 7)
 
     @pytest.mark.parametrize("a,b,m", [(-3, -5, 4), (-2, -2, 2), (-1, -4, 3), (-1, -2, 2)])
     def test_prop1_supplement(self, a, b, m):

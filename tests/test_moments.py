@@ -66,6 +66,19 @@ class TestFactorialMoment:
         assert factorial_moment(p, 1) == Fraction(4, 5)
         assert factorial_moment(p, 2) == Fraction(1, 5)
 
+    @pytest.mark.parametrize(
+        ("N", "K", "n"),
+        [
+            (20000, 6666, 10000),  # lower branch: parameter shift
+            (20000, 15000, 10000),  # z-power 5000: the z-power rule
+            (20000, 10001, 10000),  # z-power 1: the z-power rule, then Prop. 1
+        ],
+    )
+    def test_each_rule_at_large_n(self, N, K, n):
+        p = make_params(N, K, n)
+        for r in range(1, 4):
+            assert factorial_moment(p, r) == factorial_moment_closed_form(p, r)
+
     def test_matches_oracle_small_grid(self, small_grid):
         for p in small_grid:
             for r in range(1, min(p.n, p.K) + 3):
