@@ -264,16 +264,18 @@ class TestDerivatives:
                 got = scale * z**power * eval_terminating_2f1(g, z)
                 assert got == eval_poly(expected, z)
 
-    def test_z_power_rule_domain(self):
-        with pytest.raises(DomainError):
-            derivative_z_power_2f1(-3, -5, 0, 1)
-        with pytest.raises(DomainError):
-            derivative_z_power_2f1(-3, -5, 4, -1)
+    def test_z_power_rule_dispatch_boundary(self):
         # from r = c on, the supplement rule takes over
         with pytest.raises(DomainError, match="prop1_derivative"):
             derivative_z_power_2f1(-3, -5, 4, 4)
         with pytest.raises(DomainError, match="prop1_derivative"):
             derivative_z_power_2f1(-3, -5, 4, 7)
+
+    def test_z_power_rule_domain(self):
+        with pytest.raises(DomainError):
+            derivative_z_power_2f1(-3, -5, 0, 1)
+        with pytest.raises(DomainError):
+            derivative_z_power_2f1(-3, -5, 4, -1)
 
     @pytest.mark.parametrize("a,b,m", [(-3, -5, 4), (-2, -2, 2), (-1, -4, 3), (-1, -2, 2)])
     def test_prop1_supplement(self, a, b, m):
