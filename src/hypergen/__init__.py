@@ -18,7 +18,6 @@ from .core import (
 )
 from .distribution import (
     COROLLARY_TAGS,
-    THEOREM_TAGS,
     BranchTag,
     IndeterminateLegacyFormula,
     branch_polynomial,
@@ -86,7 +85,6 @@ __all__ = [
     "IndeterminateLegacyFormula",
     "PgfPolynomial",
     "SAMPLE_Z",
-    "THEOREM_TAGS",
     "Terminating2F1",
     "UndefinedHypergeometric",
     "VerificationReport",

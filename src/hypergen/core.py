@@ -144,8 +144,12 @@ class PgfPolynomial:
         return Fraction(acc, den * q**self.degree)
 
     def eval_float(self, x: float | complex) -> float | complex:
-        """Horner evaluation in double precision at a real or complex point."""
-        acc = 0.0
-        for c in reversed(self.coeffs):
+        """Horner evaluation in double precision at a real or complex point.
+
+        Starting at the leading coefficient rather than at ``0.0 * x`` makes a
+        constant its value, as a float, even where ``x`` is inf or nan.
+        """
+        acc = float(self.coeffs[-1])
+        for c in reversed(self.coeffs[:-1]):
             acc = acc * x + float(c)
         return acc

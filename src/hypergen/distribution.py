@@ -25,6 +25,7 @@ point.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 import operator
 import sys
@@ -59,7 +60,6 @@ class BranchTag(Enum):
     COR_2B = "Cor2b"
 
 
-THEOREM_TAGS = frozenset({BranchTag.THM_A, BranchTag.THM_B})
 COROLLARY_TAGS = frozenset(
     {BranchTag.COR_1A, BranchTag.COR_1B, BranchTag.COR_2A, BranchTag.COR_2B}
 )
@@ -121,14 +121,17 @@ def _branch_row(p: HypergeomParams, which: BranchTag) -> tuple[int, int, int, bo
 def _branch_parts(
     p: HypergeomParams, which: BranchTag
 ) -> tuple[Fraction, int, Terminating2F1, bool]:
-    """(prefactor, z-power, series, inverted) for a branch assumed admissible.
+    """(prefactor, z-power, series, inverted) for branch ``which``.
 
-    The factorial prefactor ``x! y! / (N! (x+y-N)!)`` is built as the
-    binomial ratio ``C(y, N-x) / C(N, N-x)``, which is far cheaper at large
-    ``N``.
+    This is where a branch is admitted: a row with ``x + y < N`` raises
+    :class:`DomainError`.  The factorial prefactor ``x! y! / (N! (x+y-N)!)``
+    is built as the binomial ratio ``C(y, N-x) / C(N, N-x)``, which is far
+    cheaper at large ``N``.
     """
     x, y, s, inverted = _branch_row(p, which)
     N = p.N
+    if x + y < N:
+        raise DomainError(f"branch {which.value} is not valid for (N={N}, K={p.K}, n={p.n})")
     pref = Fraction(comb(y, N - x), comb(N, N - x))
     return pref, s, Terminating2F1(x - N, y - N, x + y - N + 1), inverted
 
@@ -172,14 +175,14 @@ def legacy_pgf_prefactor(p: HypergeomParams) -> Fraction:
     the regime where the classical one-branch expression stops being
     defined.
     """
-    x, y, _, _ = _branch_row(p, BranchTag.THM_A)
-    if x + y < p.N:
+    try:
+        return _branch_parts(p, BranchTag.THM_A)[0]
+    except DomainError:
         raise IndeterminateLegacyFormula(
-            f"(N-K-n)! = ({x + y - p.N})! does not exist: the classical "
+            f"(N-K-n)! = ({p.N - p.K - p.n})! does not exist: the classical "
             f"PGF formula is indeterminate for n >= N-K+1 "
             f"(N={p.N}, K={p.K}, n={p.n})"
-        )
-    return _branch_parts(p, BranchTag.THM_A)[0]
+        ) from None
 
 
 def branch_polynomial(p: HypergeomParams, which: BranchTag) -> PgfPolynomial:
@@ -188,12 +191,8 @@ def branch_polynomial(p: HypergeomParams, which: BranchTag) -> PgfPolynomial:
     Coefficient ``shift + k`` is the prefactor times the k-th series term,
     carried as one running product over the series' term ratios.
     """
-    if which not in THEOREM_TAGS:
+    if which in COROLLARY_TAGS:
         raise DomainError(f"coefficient expansion is defined for the main branches, not {which.value}")
-    if which not in classify_regions(p):
-        raise DomainError(
-            f"branch {which.value} is not valid for (N={p.N}, K={p.K}, n={p.n})"
-        )
     pref, shift, f, _ = _branch_parts(p, which)
     return PgfPolynomial((Fraction(0),) * shift + scaled_terms(f, pref))
 
@@ -223,16 +222,14 @@ def pgf_eval_branch(p: HypergeomParams, z, which: BranchTag) -> Fraction:
     The branch must be admitted by :func:`classify_regions`; the two
     inverse-argument rewrites additionally need ``z != 0``.
     """
-    if which not in classify_regions(p):
-        raise DomainError(
-            f"branch {which.value} is not valid for (N={p.N}, K={p.K}, n={p.n})"
-        )
-    z = as_rational(z)
     parts = _branch_parts(p, which)
-    inverted = parts[3]
-    if inverted and z == 0:
+    z = as_rational(z)
+    if parts[3] and z == 0:
         raise DomainError(f"branch {which.value} evaluates a series in 1/z; z=0 is invalid")
     return _eval_parts(parts, z)
+
+
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 def _reject_nan(t: float, name: str) -> None:
@@ -240,33 +237,30 @@ def _reject_nan(t: float, name: str) -> None:
         raise DomainError(f"{name} is undefined at t=nan")
 
 
-def _mgf_or_log(p: HypergeomParams, t: float) -> tuple[float, str]:
+def _mgf_or_log(p: HypergeomParams, t: float, log: bool) -> tuple[float, str]:
     """M_X(t) as ``(value, form)``, with ``form`` one of ``"M"``, ``"M-1"`` and ``"ln M"``.
 
-    ``"M"`` is the double-precision Horner value at e^t.  Where that value
-    lies in [1/2, 2], ``log`` of it would have condition number at least
-    1/ln 2 and lose ln M_X(t) near t = 0, so the value is
-    ``M_X(t) - 1 = sum c_k expm1(t k)`` instead: every term has the sign of
-    ``t``, so the sum does not cancel, and it is exactly 0 at t = 0.
-    ``"ln M"`` is taken when, at a finite ``t``, e^t overflows or the Horner
-    value is 0, subnormal or infinite: it is the log-sum-exp of
-    ``t k + ln c_k`` over the nonzero coefficients, with ``ln c_k`` from the
-    exact numerator and denominator, which ``math.log`` takes at any size.
-    That log is ``inf`` or ``-inf`` where ``|t| k`` leaves the double range,
-    so ln M_X(t) does too.  The polynomial stays local to this helper, so the callers' errors do
-    not keep it alive through their tracebacks.
+    ``"M"`` is the double-precision Horner value at e^t.  Where it lies in
+    [1/2, 2], ``log`` of it would lose ln M_X(t) near t = 0, so the value is
+    ``M_X(t) - 1 = sum c_k expm1(t k)``: every term has the sign of ``t``, so
+    the sum does not cancel, and it is exactly 0 at t = 0.  ``"ln M"``, the
+    log-sum-exp of ``t k + ln c_k`` over the nonzero coefficients, is taken
+    where e^t overflows or the Horner value is 0, infinite, or subnormal
+    while ``log`` asks for ln M_X(t); it is infinite where ``|t| k`` leaves
+    the double range.  Its exp() would carry the rounding of ``t k``, so where
+    e^t overflows but M_X(t) is a double, M_X(t) is the exact polynomial at
+    ``(e^{t/2})^2``.  The polynomial stays local to this helper, so the
+    callers' errors do not keep it alive through their tracebacks.
     """
     poly = pgf_polynomial(p)
-    try:
+    if not _LOG_MAX < t < math.inf:  # e^t is a double
         value = poly.eval_float(math.exp(t))
         if not math.isfinite(t):
             return value, "M"
         if 0.5 <= value <= 2.0:
             return math.fsum(float(c) * math.expm1(t * k) for k, c in enumerate(poly.coeffs)), "M-1"
-        if sys.float_info.min <= value < math.inf:
+        if 0.0 < value < math.inf and (value >= sys.float_info.min or not log):
             return value, "M"
-    except OverflowError:
-        pass
     logs = [
         t * k + math.log(c.numerator) - math.log(c.denominator)
         for k, c in enumerate(poly.coeffs)
@@ -275,20 +269,21 @@ def _mgf_or_log(p: HypergeomParams, t: float) -> tuple[float, str]:
     top = max(logs)
     if math.isinf(top):
         return top, "ln M"
-    return top + math.log(math.fsum(math.exp(x - top) for x in logs)), "ln M"
+    value = top + math.log(math.fsum(math.exp(x - top) for x in logs))
+    if not log and t > _LOG_MAX > value:
+        with contextlib.suppress(OverflowError):  # e^{t/2} or M_X(t) still overflows
+            return float(poly(Fraction(math.exp(t / 2)) ** 2)), "M"
+    return value, "ln M"
 
 
 def mgf_eval(p: HypergeomParams, t: float) -> float:
     """Moment-generating function M_X(t) = G_X(e^t) in double precision."""
     _reject_nan(t, "M_X(t)")
-    value, form = _mgf_or_log(p, t)
+    value, form = _mgf_or_log(p, t, log=False)
     if form == "M-1":
         value += 1.0
     elif form == "ln M":
-        try:
-            value = math.exp(value)
-        except OverflowError:
-            value = math.inf
+        value = math.exp(value) if value <= _LOG_MAX else math.inf
     if not math.isfinite(value):
         raise OverflowError(f"M_X({t}) overflows double precision")
     return value
@@ -298,7 +293,7 @@ def cf_eval(p: HypergeomParams, t: float) -> complex:
     """Characteristic function phi_X(t) = G_X(e^{it}); |phi| <= 1 always."""
     _reject_nan(t, "phi_X(t)")
     z = cmath.exp(1j * t)
-    value = pgf_polynomial(p).eval_float(z)
+    value = complex(pgf_polynomial(p).eval_float(z))
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise OverflowError(f"phi_X({t}) produced a non-finite value")
     return value
@@ -313,7 +308,7 @@ def cgf_eval(p: HypergeomParams, t: float) -> float:
     infinite); there it raises ``OverflowError``.
     """
     _reject_nan(t, "ln M_X(t)")
-    value, form = _mgf_or_log(p, t)
+    value, form = _mgf_or_log(p, t, log=True)
     if form == "M-1":
         value = math.log1p(value)
     elif form == "M":  # only t = -inf or +inf leaves M_X(t) at 0 or inf here

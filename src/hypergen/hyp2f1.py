@@ -127,29 +127,39 @@ def scaled_terms(f: Terminating2F1, first: Fraction) -> tuple[Fraction, ...]:
     return tuple(terms)
 
 
+def _shift(a: int, b: int, c: int, r: int) -> tuple[Fraction, Terminating2F1 | None]:
+    """The parameter shift ``((a)_r (b)_r / (c)_r, 2F1(a+r, b+r; c+r; z))``.
+
+    The series is ``None`` where it does not terminate: both shifted upper
+    parameters are positive.
+    """
+    scale = pochhammer(a, r) * pochhammer(b, r) / pochhammer(c, r)
+    if a + r <= 0 or b + r <= 0:
+        return scale, Terminating2F1(a + r, b + r, c + r)
+    return scale, None
+
+
 def scaled_limit_2f1(a: int, b: int, m: int, z) -> Fraction:
     """Value of ``lim_{c -> -m} 2F1(a, b; c; z) / Gamma(c)`` for ``m >= 0``.
 
     Equals ``(a)_{m+1} (b)_{m+1} / (m+1)! * z^{m+1}
-    * 2F1(a+m+1, b+m+1; m+2; z)``.  The right-hand series must terminate
+    * 2F1(a+m+1, b+m+1; m+2; z)``, the parameter shift of
+    ``2F1(a, b; 1; z)`` by ``m+1``.  The right-hand series must terminate
     (``a <= -(m+1)`` or ``b <= -(m+1)``) unless the leading Pochhammer
     factor or ``z^{m+1}`` already forces the exact value 0.
     """
-    a = operator.index(a)
-    b = operator.index(b)
-    m = operator.index(m)
+    a, b, m = map(operator.index, (a, b, m))
     if m < 0:
         raise DomainError(f"scaled limit requires m >= 0 (got m={m})")
     z = as_rational(z)
-    pref = pochhammer(a, m + 1) * pochhammer(b, m + 1) / factorial(m + 1)
+    pref, g = _shift(a, b, 1, m + 1)
     if pref == 0 or z == 0:
         return Fraction(0)
-    if a + m + 1 > 0 and b + m + 1 > 0:
+    if g is None:
         raise UndefinedHypergeometric(
             f"2F1({a + m + 1}, {b + m + 1}; {m + 2}; z) does not terminate; "
             "the scaled limit has no exact finite evaluation here"
         )
-    g = Terminating2F1(a + m + 1, b + m + 1, m + 2)
     return pref * z ** (m + 1) * eval_terminating_2f1(g, z)
 
 
@@ -205,12 +215,7 @@ def derivative_2f1(f: Terminating2F1, r: int) -> tuple[Fraction, Terminating2F1 
     r = operator.index(r)
     if r < 0:
         raise DomainError(f"derivative order must be >= 0 (got r={r})")
-    scale = pochhammer(f.a, r) * pochhammer(f.b, r) / pochhammer(f.c, r)
-    if f.a + r <= 0 or f.b + r <= 0:
-        return scale, Terminating2F1(f.a + r, f.b + r, f.c + r)
-    # Both shifted upper parameters are positive, so r ran past the degree of
-    # the polynomial: (a)_r or (b)_r crossed zero and scale == 0.
-    return scale, None
+    return _shift(f.a, f.b, f.c, r)
 
 
 def derivative_z_power_2f1(a: int, b: int, c: int, r: int) -> tuple[Fraction, int, Terminating2F1]:
@@ -243,15 +248,13 @@ def prop1_derivative(a: int, b: int, m: int, r: int) -> tuple[Fraction, Terminat
 
     With ``q = r - m + 1``:
     ``d^r/dz^r (z^{m-1} 2F1(a,b;m;z))
-    = (m-1)! (a)_q (b)_q / q! * 2F1(a+q, b+q; q+1; z)``.  Returns
+    = (m-1)! (a)_q (b)_q / q! * 2F1(a+q, b+q; q+1; z)``: the z-power rule to
+    order ``m-1``, then the parameter shift of ``2F1(a, b; 1; z)``.  Returns
     ``(scale, g)``; as with :func:`derivative_2f1`, ``g`` is ``None`` when
     the derivative is identically zero and the shifted triple no longer
     terminates.
     """
-    a = operator.index(a)
-    b = operator.index(b)
-    m = operator.index(m)
-    r = operator.index(r)
+    a, b, m, r = map(operator.index, (a, b, m, r))
     if m < 1:
         raise DomainError(f"m must be a positive integer (got m={m})")
     if r < m:
@@ -260,14 +263,11 @@ def prop1_derivative(a: int, b: int, m: int, r: int) -> tuple[Fraction, Terminat
             "use derivative_z_power_2f1 for r < m"
         )
     q = r - m + 1
-    scale = Fraction(factorial(m - 1)) * pochhammer(a, q) * pochhammer(b, q) / factorial(q)
-    if a + q <= 0 or b + q <= 0:
-        return scale, Terminating2F1(a + q, b + q, q + 1)
-    if scale == 0:
-        return scale, None
-    raise UndefinedHypergeometric(
-        f"2F1({a + q}, {b + q}; {q + 1}; z) does not terminate"
-    )
+    scale, g = _shift(a, b, 1, q)
+    scale *= factorial(m - 1)
+    if g is None and scale != 0:
+        raise UndefinedHypergeometric(f"2F1({a + q}, {b + q}; {q + 1}; z) does not terminate")
+    return scale, g
 
 
 def gauss_value_at_one(f: Terminating2F1) -> Fraction:

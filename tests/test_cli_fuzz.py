@@ -64,6 +64,9 @@ ARGV = st.one_of(
 @example(["eval", "5", "5", "3", "--at=1e308", "--kind=mgf"])
 @example(["eval", "10", "8", "5", "--at=-1e308", "--kind=cgf"])
 @example(["eval", "10", "8", "5", "--at=-1e308", "--kind=mgf"])
+@example(["eval", "5", "0", "3", "--at=inf", "--kind=mgf"])
+@example(["eval", "5", "3", "0", "--at=-inf", "--kind=cgf"])
+@example(["eval", "0", "0", "0", "--at=inf", "--kind=cf"])
 def test_cli_exit_code_is_0_1_or_2_without_traceback(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

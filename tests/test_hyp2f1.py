@@ -291,6 +291,20 @@ class TestDerivatives:
                 else:
                     assert scale * eval_terminating_2f1(g, z) == want
 
+    @given(
+        st.integers(-8, 0), st.integers(-8, 8), st.booleans(), st.integers(1, 6), st.integers(0, 10)
+    )
+    def test_prop1_is_the_z_power_rule_then_the_parameter_shift(self, a, b, swap, m, extra):
+        # the z-power rule to order m-1 leaves (m-1)! 2F1(a, b; 1; z), and the
+        # remaining r-m+1 orders are its parameter shift
+        if swap:
+            a, b = b, a
+        r = m + extra
+        z_scale, power, f = derivative_z_power_2f1(a, b, m, m - 1)
+        assert (power, f) == (0, Terminating2F1(a, b, 1))
+        shift_scale, g = derivative_2f1(f, r - m + 1)
+        assert prop1_derivative(a, b, m, r) == (z_scale * shift_scale, g)
+
     def test_prop1_domain(self):
         with pytest.raises(DomainError):
             prop1_derivative(-1, -2, 0, 1)
