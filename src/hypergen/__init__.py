@@ -12,12 +12,9 @@ from .core import (
     HypergenError,
     HypergeomParams,
     PgfPolynomial,
-    as_rational,
-    binomial,
     make_params,
 )
 from .distribution import (
-    COROLLARY_TAGS,
     BranchTag,
     IndeterminateLegacyFormula,
     branch_polynomial,
@@ -53,21 +50,17 @@ from .moments import (
     falling_factorial,
     mean,
     raw_moments,
-    raw_moments_from_factorial,
     stirling2_triangle,
     variance,
 )
 from .oracle import (
-    DEFAULT_N_BOUND,
     BoundExceeded,
     oracle_factorial_moment,
     oracle_pgf,
 )
 from .verify import (
-    SAMPLE_Z,
     CheckFailure,
     VerificationReport,
-    check_triple,
     oracle_grid_check,
 )
 
@@ -76,25 +69,19 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundExceeded",
     "BranchTag",
-    "COROLLARY_TAGS",
     "CheckFailure",
-    "DEFAULT_N_BOUND",
     "DomainError",
     "HypergenError",
     "HypergeomParams",
     "IndeterminateLegacyFormula",
     "PgfPolynomial",
-    "SAMPLE_Z",
     "Terminating2F1",
     "UndefinedHypergeometric",
     "VerificationReport",
-    "as_rational",
-    "binomial",
     "branch_polynomial",
     "canonical_branch",
     "cf_eval",
     "cgf_eval",
-    "check_triple",
     "classify_regions",
     "derivative_2f1",
     "derivative_z_power_2f1",
@@ -118,7 +105,6 @@ __all__ = [
     "pochhammer",
     "prop1_derivative",
     "raw_moments",
-    "raw_moments_from_factorial",
     "scaled_limit_2f1",
     "series_coefficients",
     "stirling2_triangle",

@@ -191,7 +191,7 @@ def branch_polynomial(p: HypergeomParams, which: BranchTag) -> PgfPolynomial:
     Coefficient ``shift + k`` is the prefactor times the k-th series term,
     carried as one running product over the series' term ratios.
     """
-    if which in COROLLARY_TAGS:
+    if isinstance(which, BranchTag) and which in COROLLARY_TAGS:
         raise DomainError(f"coefficient expansion is defined for the main branches, not {which.value}")
     pref, shift, f, _ = _branch_parts(p, which)
     return PgfPolynomial((Fraction(0),) * shift + scaled_terms(f, pref))

@@ -16,6 +16,7 @@ Both routes collapse to the same falling-factorial closed form
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 
@@ -34,10 +35,7 @@ def falling_factorial(x: int, r: int) -> int:
     r = operator.index(r)
     if r < 0:
         raise DomainError(f"falling factorial requires r >= 0 (got r={r})")
-    prod = 1
-    for i in range(r):
-        prod *= x - i
-    return prod
+    return math.prod(range(x, x - r, -1))
 
 
 def factorial_moment(p: HypergeomParams, r: int) -> Fraction:
@@ -65,7 +63,7 @@ def factorial_moment_closed_form(p: HypergeomParams, r: int) -> Fraction:
     r = operator.index(r)
     if r < 1:
         raise DomainError(f"factorial moment order must be >= 1 (got r={r})")
-    if r > min(p.n, p.K):
+    if r > p.support_hi:
         return Fraction(0)
     return Fraction(
         falling_factorial(p.n, r) * falling_factorial(p.K, r),

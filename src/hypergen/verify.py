@@ -63,11 +63,7 @@ class VerificationReport:
     failures: list[CheckFailure] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "n_checked": self.n_checked,
-            "n_failed": self.n_failed,
-            "failures": [asdict(f) for f in self.failures],
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -117,19 +113,19 @@ def check_triple(p: HypergeomParams) -> list[CheckFailure]:
             if value != want:
                 fail("corollary_branch", f"{tag.value} at z={z}: expected {want}, got {value}")
 
-    for r in range(1, min(p.n, p.K) + 2):
+    for r in range(1, p.support_hi + 2):
         want = oracle.oracle_factorial_moment(p, r, bound=p.N)
         got_fm = moments.factorial_moment(p, r)
         if got_fm != want:
             fail("factorial_moment", f"r={r}: expected {want}, got {got_fm}")
 
     if BranchTag.THM_B in admitted:
-        shift = p.n + p.K - p.N
+        shift = p.support_lo
         partner = HypergeomParams(p.N, p.N - p.K, p.N - p.n)
         theirs = distribution.pgf_polynomial(partner)
         for k in range(len(got.coeffs)):
             lhs = got.coefficient(k)
-            rhs = theirs.coefficient(k - shift) if k >= shift else Fraction(0)
+            rhs = theirs.coefficient(k - shift)
             if lhs != rhs:
                 fail(
                     "complement_identity",

@@ -7,6 +7,7 @@ exports.
 """
 
 import argparse
+import re
 
 import pytest
 
@@ -65,12 +66,13 @@ def test_public_paths_keep_the_admission_message_and_its_precedence():
         branch_polynomial(p, BranchTag.COR_1B)
 
 
-@pytest.mark.parametrize("which", ["ThmA", None, 0])
+@pytest.mark.parametrize("which", ["ThmA", None, 0, [], {}])
 def test_a_tag_that_is_not_a_branch_tag_is_a_domain_error(which):
     p = make_params(4, 2, 1)
-    with pytest.raises(DomainError):
+    message = f"unknown branch tag {which!r}"
+    with pytest.raises(DomainError, match=re.escape(message)):
         branch_polynomial(p, which)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=re.escape(message)):
         pgf_eval_branch(p, 2, which)
 
 
@@ -79,3 +81,53 @@ def test_every_export_resolves_once():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(hypergen, name)]
     assert missing == []
+
+
+def test_the_export_list_is_pinned():
+    # Adding or removing a public name takes an edit here.
+    assert sorted(hypergen.__all__) == [
+        "BoundExceeded",
+        "BranchTag",
+        "CheckFailure",
+        "DomainError",
+        "HypergenError",
+        "HypergeomParams",
+        "IndeterminateLegacyFormula",
+        "PgfPolynomial",
+        "Terminating2F1",
+        "UndefinedHypergeometric",
+        "VerificationReport",
+        "branch_polynomial",
+        "canonical_branch",
+        "cf_eval",
+        "cgf_eval",
+        "classify_regions",
+        "derivative_2f1",
+        "derivative_z_power_2f1",
+        "eval_terminating_2f1",
+        "factorial_moment",
+        "factorial_moment_closed_form",
+        "falling_factorial",
+        "gauss_value_at_one",
+        "legacy_pgf_prefactor",
+        "legendre_case_pgf",
+        "make_params",
+        "mean",
+        "mgf_eval",
+        "oracle_factorial_moment",
+        "oracle_grid_check",
+        "oracle_pgf",
+        "pgf_eval",
+        "pgf_eval_branch",
+        "pgf_polynomial",
+        "pmf",
+        "pochhammer",
+        "prop1_derivative",
+        "raw_moments",
+        "scaled_limit_2f1",
+        "series_coefficients",
+        "stirling2_triangle",
+        "transform_inverse_arg",
+        "transform_one_minus_z",
+        "variance",
+    ]

@@ -11,10 +11,9 @@ from hypergen import (
     HypergenError,
     HypergeomParams,
     PgfPolynomial,
-    as_rational,
-    binomial,
     make_params,
 )
+from hypergen.core import as_rational, binomial
 
 
 class TestAsRational:

@@ -91,3 +91,10 @@ def test_point_mass_at_zero_at_infinite_t(params, t, capsys):
     for kind in ("mgf", "cgf", "cf"):
         assert main(["eval", *map(str, params), f"--at={t}", f"--kind={kind}"]) == 0
     assert capsys.readouterr().out == "1\n0\n1 0\n"
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf])
+def test_cf_at_infinite_t_is_an_overflow(t):
+    # e^{it} has no value at t = ±inf, so phi_X(t) does not either unless X = 0
+    with pytest.raises(OverflowError, match=r"phi_X\("):
+        cf_eval(make_params(10, 5, 5), t)

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 import hypergen
 from hypergen import (
-    COROLLARY_TAGS,
     BranchTag,
     DomainError,
     PgfPolynomial,
@@ -33,6 +32,7 @@ from hypergen import (
 )
 from hypergen import distribution, moments
 from hypergen.cli import main as cli_main
+from hypergen.distribution import COROLLARY_TAGS
 
 
 def test_corrupted_rewrite_parts_fail_corollary_branch(monkeypatch):
@@ -67,6 +67,29 @@ def test_corrupted_inverted_evaluation_fails_grid_and_public_path(monkeypatch):
     assert all(f.detail.startswith(("Cor1b", "Cor2a")) for f in report.failures)
     p = make_params(4, 2, 3)
     assert pgf_eval_branch(p, 2, BranchTag.COR_1B) != pgf_eval_branch(p, 2, BranchTag.THM_B)
+
+
+def test_corrupted_canonical_evaluation_fails_pgf_eval(monkeypatch):
+    # Only the canonical branch's parts are marked, so the rewrites that
+    # share its row still evaluate correctly.
+    real_parts, real_eval = distribution._branch_parts, distribution._eval_parts
+
+    class Canonical(tuple):
+        pass
+
+    def marked(p, which):
+        parts = real_parts(p, which)
+        return Canonical(parts) if which is distribution.canonical_branch(p) else parts
+
+    def corrupted(parts, z):
+        value = real_eval(parts, z)
+        return value + 1 if isinstance(parts, Canonical) else value
+
+    monkeypatch.setattr(distribution, "_branch_parts", marked)
+    monkeypatch.setattr(distribution, "_eval_parts", corrupted)
+    report = oracle_grid_check(3)
+    assert report.n_failed == report.n_checked == 30
+    assert {f.check for f in report.failures} == {"pgf_eval"}
 
 
 def test_corrupted_factorial_moment_fails_grid(monkeypatch):

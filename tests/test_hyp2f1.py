@@ -219,6 +219,10 @@ class TestTransforms:
         with pytest.raises(DomainError):
             transform_one_minus_z(Terminating2F1(-1, -2, 2), 1)
 
+    def test_one_minus_z_rejects_positive_a(self):
+        with pytest.raises(DomainError, match="first upper parameter must be nonpositive"):
+            transform_one_minus_z(Terminating2F1(3, -2, 1), 2)
+
     @given(rewritable_triples, small_z.filter(lambda z: z != 0))
     def test_inverse_arg_identity(self, mbc, z):
         m, b, c = mbc

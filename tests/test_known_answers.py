@@ -13,7 +13,8 @@ from fractions import Fraction
 from math import comb
 
 from conftest import grid_triples
-from hypergen import as_rational, factorial_moment, moments, raw_moments
+from hypergen import factorial_moment, moments, raw_moments
+from hypergen.core import as_rational
 from hypergen.cli import main
 
 

@@ -11,17 +11,17 @@ from conftest import param_triples
 from hypergen import (
     BoundExceeded,
     CheckFailure,
-    DEFAULT_N_BOUND,
     DomainError,
     PgfPolynomial,
     VerificationReport,
-    check_triple,
     make_params,
     oracle_factorial_moment,
     oracle_grid_check,
     oracle_pgf,
 )
 from hypergen import distribution
+from hypergen.oracle import DEFAULT_N_BOUND
+from hypergen.verify import check_triple
 
 
 class TestIndependence:
