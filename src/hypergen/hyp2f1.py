@@ -19,7 +19,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, prod
+from math import prod
 
 from .core import DomainError, HypergenError, as_rational
 
@@ -59,6 +59,11 @@ class Terminating2F1:
         object.__setattr__(self, "termination_index", 1 + min(stops))
 
 
+def _rising(a: int, k: int, step: int = 1) -> int:
+    """``a (a+step) ... (a+(k-1)step)``: the one integer product behind every Pochhammer symbol."""
+    return prod(range(a, a + k * step, step))
+
+
 def pochhammer(a, k: int) -> Fraction:
     """Rising factorial ``(a)_k = a (a+1) ... (a+k-1)``, with ``(a)_0 = 1``.
 
@@ -71,7 +76,7 @@ def pochhammer(a, k: int) -> Fraction:
         a = as_rational(a)
     # (p/q)_k = p (p+q) ... (p+(k-1)q) / q^k
     p, q = a.numerator, a.denominator
-    return Fraction(prod(range(p, p + k * q, q)), q**k)
+    return Fraction(_rising(p, k, q), q**k)
 
 
 def eval_terminating_2f1(f: Terminating2F1, z) -> Fraction:
@@ -127,16 +132,31 @@ def scaled_terms(f: Terminating2F1, first: Fraction) -> tuple[Fraction, ...]:
     return tuple(terms)
 
 
-def _shift(a: int, b: int, c: int, r: int) -> tuple[Fraction, Terminating2F1 | None]:
-    """The parameter shift ``((a)_r (b)_r / (c)_r, 2F1(a+r, b+r; c+r; z))``.
+def _shift(a: int, b: int, c: int, r: int) -> tuple[int, int, tuple[int, int, int] | None]:
+    """The parameter shift as integers ``((a)_r (b)_r, (c)_r, (a+r, b+r, c+r))``.
 
-    The series is ``None`` where it does not terminate: both shifted upper
-    parameters are positive.
+    The triple is ``None`` where its series does not terminate: both upper parameters are positive.
     """
-    scale = pochhammer(a, r) * pochhammer(b, r) / pochhammer(c, r)
-    if a + r <= 0 or b + r <= 0:
-        return scale, Terminating2F1(a + r, b + r, c + r)
-    return scale, None
+    g = (a + r, b + r, c + r) if a + r <= 0 or b + r <= 0 else None
+    return _rising(a, r) * _rising(b, r), _rising(c, r), g
+
+
+def _z_power_derivative(a: int, b: int, c: int, power: int, r: int):
+    """r-th derivative of ``z^power 2F1(a, b; c; z)``, ``power`` 0 or ``c-1``, as :func:`_shift`.
+
+    The z-power rule to order ``k = min(r, power)`` gives ``(c-k)_k z^(power-k) 2F1(a, b; c-k; z)``
+    (the power of z is dropped); the rest is the parameter shift by ``r - k``.  Past ``power``
+    that composition is Prop. 1, with ``(c-k)_k = (c-1)!``.
+    """
+    k = min(r, power)
+    num, den, g = _shift(a, b, c - k, r - k)
+    return _rising(c - k, k) * num, den, g
+
+
+def _at_one(a: int, b: int, c: int) -> tuple[int, int]:
+    """:func:`gauss_value_at_one` as integers; the upper parameter besides ``-m`` is ``a+b+m``."""
+    m = -max(x for x in (a, b) if x <= 0)
+    return _rising(c - a - b - m, m), _rising(c, m)
 
 
 def scaled_limit_2f1(a: int, b: int, m: int, z) -> Fraction:
@@ -152,15 +172,15 @@ def scaled_limit_2f1(a: int, b: int, m: int, z) -> Fraction:
     if m < 0:
         raise DomainError(f"scaled limit requires m >= 0 (got m={m})")
     z = as_rational(z)
-    pref, g = _shift(a, b, 1, m + 1)
-    if pref == 0 or z == 0:
+    num, den, g = _shift(a, b, 1, m + 1)
+    if num == 0 or z == 0:
         return Fraction(0)
     if g is None:
         raise UndefinedHypergeometric(
             f"2F1({a + m + 1}, {b + m + 1}; {m + 2}; z) does not terminate; "
             "the scaled limit has no exact finite evaluation here"
         )
-    return pref * z ** (m + 1) * eval_terminating_2f1(g, z)
+    return Fraction(num, den) * z ** (m + 1) * eval_terminating_2f1(Terminating2F1(*g), z)
 
 
 def transform_inverse_arg(f: Terminating2F1, z) -> tuple[Fraction, Terminating2F1, Fraction]:
@@ -179,7 +199,7 @@ def transform_inverse_arg(f: Terminating2F1, z) -> tuple[Fraction, Terminating2F
     if z == 0:
         raise DomainError("the inverse-argument rewrite needs z != 0")
     m = -f.a
-    prefactor = pochhammer(f.b, m) / pochhammer(f.c, m) * (-z) ** m
+    prefactor = Fraction(_rising(f.b, m), _rising(f.c, m)) * (-z) ** m
     g = Terminating2F1(f.a, 1 - f.c - m, 1 - f.b - m)
     return prefactor, g, 1 / z
 
@@ -199,7 +219,7 @@ def transform_one_minus_z(f: Terminating2F1, z) -> tuple[Fraction, Terminating2F
     if z == 1:
         raise DomainError("the 1-z rewrite needs z != 1")
     m = -f.a
-    prefactor = pochhammer(f.b, m) / pochhammer(f.c, m) * (1 - z) ** m
+    prefactor = Fraction(_rising(f.b, m), _rising(f.c, m)) * (1 - z) ** m
     g = Terminating2F1(f.a, f.c - f.b, 1 - f.b - m)
     return prefactor, g, 1 / (1 - z)
 
@@ -215,7 +235,8 @@ def derivative_2f1(f: Terminating2F1, r: int) -> tuple[Fraction, Terminating2F1 
     r = operator.index(r)
     if r < 0:
         raise DomainError(f"derivative order must be >= 0 (got r={r})")
-    return _shift(f.a, f.b, f.c, r)
+    num, den, g = _shift(f.a, f.b, f.c, r)
+    return Fraction(num, den), None if g is None else Terminating2F1(*g)
 
 
 def derivative_z_power_2f1(a: int, b: int, c: int, r: int) -> tuple[Fraction, int, Terminating2F1]:
@@ -239,8 +260,9 @@ def derivative_z_power_2f1(a: int, b: int, c: int, r: int) -> tuple[Fraction, in
             f"r must satisfy r < c (got r={r}, c={c}); "
             "use prop1_derivative for r >= c"
         )
-    scale = pochhammer(c - r, r)
-    return scale, c - r - 1, Terminating2F1(a, b, c - r)
+    num, den, _ = _z_power_derivative(a, b, c, c - 1, r)
+    # the triple itself, not the helper's None, raises DomainError where it does not terminate
+    return Fraction(num, den), c - r - 1, Terminating2F1(a, b, c - r)
 
 
 def prop1_derivative(a: int, b: int, m: int, r: int) -> tuple[Fraction, Terminating2F1 | None]:
@@ -262,12 +284,11 @@ def prop1_derivative(a: int, b: int, m: int, r: int) -> tuple[Fraction, Terminat
             f"r must satisfy r >= m (got r={r}, m={m}); "
             "use derivative_z_power_2f1 for r < m"
         )
-    q = r - m + 1
-    scale, g = _shift(a, b, 1, q)
-    scale *= factorial(m - 1)
-    if g is None and scale != 0:
+    num, den, g = _z_power_derivative(a, b, m, m - 1, r)
+    if g is None and num != 0:
+        q = r - m + 1
         raise UndefinedHypergeometric(f"2F1({a + q}, {b + q}; {q + 1}; z) does not terminate")
-    return scale, g
+    return Fraction(num, den), None if g is None else Terminating2F1(*g)
 
 
 def gauss_value_at_one(f: Terminating2F1) -> Fraction:
@@ -278,6 +299,4 @@ def gauss_value_at_one(f: Terminating2F1) -> Fraction:
     ``2F1(-m, b; c; 1) = (c-b)_m / (c)_m``, taken as one quotient of the
     two integer products, so small series pay for a single Fraction.
     """
-    m = f.termination_index - 1
-    lo = f.c - (f.b if f.a == -m else f.a)
-    return Fraction(prod(range(lo, lo + m)), prod(range(f.c, f.c + m)))
+    return Fraction(*_at_one(f.a, f.b, f.c))

@@ -16,18 +16,12 @@ Both routes collapse to the same falling-factorial closed form
 
 from __future__ import annotations
 
-import math
 import operator
 from fractions import Fraction
 
 from .core import DomainError, HypergeomParams
 from .distribution import _branch_parts, canonical_branch
-from .hyp2f1 import (
-    derivative_2f1,
-    derivative_z_power_2f1,
-    gauss_value_at_one,
-    prop1_derivative,
-)
+from .hyp2f1 import _at_one, _rising, _z_power_derivative
 
 
 def falling_factorial(x: int, r: int) -> int:
@@ -35,7 +29,7 @@ def falling_factorial(x: int, r: int) -> int:
     r = operator.index(r)
     if r < 0:
         raise DomainError(f"falling factorial requires r >= 0 (got r={r})")
-    return math.prod(range(x, x - r, -1))
+    return _rising(x, r, -1)
 
 
 def factorial_moment(p: HypergeomParams, r: int) -> Fraction:
@@ -49,13 +43,9 @@ def factorial_moment(p: HypergeomParams, r: int) -> Fraction:
     if r > p.support_hi:
         return Fraction(0)
     pref, power, f, _ = _branch_parts(p, canonical_branch(p))
-    if power == 0:
-        scale, g = derivative_2f1(f, r)
-    elif r <= power:
-        scale, _power, g = derivative_z_power_2f1(f.a, f.b, f.c, r)
-    else:
-        scale, g = prop1_derivative(f.a, f.b, f.c, r)
-    return pref * scale * gauss_value_at_one(g)
+    num, den, g = _z_power_derivative(f.a, f.b, f.c, power, r)
+    vnum, vden = _at_one(*g)
+    return Fraction(pref.numerator * num * vnum, pref.denominator * den * vden)
 
 
 def factorial_moment_closed_form(p: HypergeomParams, r: int) -> Fraction:

@@ -280,6 +280,8 @@ class TestDerivatives:
             derivative_z_power_2f1(-3, -5, 0, 1)
         with pytest.raises(DomainError):
             derivative_z_power_2f1(-3, -5, 4, -1)
+        with pytest.raises(DomainError, match="does not terminate"):
+            derivative_z_power_2f1(1, 2, 3, 1)
 
     @pytest.mark.parametrize("a,b,m", [(-3, -5, 4), (-2, -2, 2), (-1, -4, 3), (-1, -2, 2)])
     def test_prop1_supplement(self, a, b, m):
@@ -318,6 +320,10 @@ class TestDerivatives:
     def test_prop1_nonterminating_rejected(self):
         with pytest.raises(UndefinedHypergeometric):
             prop1_derivative(1, 1, 1, 1)
+
+    def test_prop1_nonterminating_message(self):
+        with pytest.raises(UndefinedHypergeometric, match=r"^2F1\(4, 5; 3; z\) does not terminate$"):
+            prop1_derivative(2, 3, 2, 3)
 
     def test_frozen_dispatch_example(self):
         # the r=2 moment of the (4,2,3) urn goes through the supplement rule

@@ -5,19 +5,25 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import param_triples
+from conftest import grid_triples, param_triples
 from hypergen import (
     DomainError,
+    Terminating2F1,
+    derivative_2f1,
+    derivative_z_power_2f1,
     factorial_moment,
     factorial_moment_closed_form,
     falling_factorial,
+    gauss_value_at_one,
     make_params,
     mean,
     oracle_factorial_moment,
+    prop1_derivative,
     raw_moments,
     stirling2_triangle,
     variance,
 )
+from hypergen.distribution import _branch_parts, canonical_branch
 
 
 class TestFallingFactorial:
@@ -103,6 +109,41 @@ class TestFactorialMoment:
         assert wrong == Fraction(1, 2)
         assert factorial_moment(p, 1) == Fraction(3, 2)
         assert wrong != factorial_moment(p, 1)
+
+
+def by_the_public_rules(p, r):
+    """The r-th factorial moment through the public rule that the branch selects."""
+    pref, power, f, _ = _branch_parts(p, canonical_branch(p))
+    if power == 0:
+        scale, g = derivative_2f1(f, r)
+    elif r <= power:
+        scale, _power, g = derivative_z_power_2f1(f.a, f.b, f.c, r)
+    else:
+        scale, g = prop1_derivative(f.a, f.b, f.c, r)
+    return pref * scale * gauss_value_at_one(g)
+
+
+def test_factorial_moment_is_the_public_rules_composed():
+    for p in grid_triples(14):
+        for r in range(1, min(p.n, p.K) + 1):
+            assert factorial_moment(p, r) == by_the_public_rules(p, r), (p, r)
+
+
+def test_an_in_degree_moment_builds_only_the_branch_series(monkeypatch):
+    built = []
+    real = Terminating2F1.__post_init__
+
+    def counted(self):
+        built.append((self.a, self.b, self.c))
+        real(self)
+
+    monkeypatch.setattr(Terminating2F1, "__post_init__", counted)
+    for p in grid_triples(9):
+        f = _branch_parts(p, canonical_branch(p))[2]
+        for r in range(1, min(p.n, p.K) + 1):
+            built.clear()
+            factorial_moment(p, r)
+            assert built == [(f.a, f.b, f.c)], (p, r)
 
 
 class TestMeanVariance:
