@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
+import functools
 import math
 import os
 import re
@@ -84,13 +84,14 @@ def cmd_pgf(args: argparse.Namespace) -> int:
     if args.format == "latex":
         print(distribution._latex_formula(p))
         return 0
-    poly = distribution.pgf_polynomial(p)
-    with _exact_rendering():
-        if args.format == "json":
-            payload = {"branch": _branch_label(p), "coeffs": [str(c) for c in poly.coeffs]}
-            print(json.dumps(payload, separators=(",", ":")))
-        else:
-            print(" ".join(str(c) for c in poly.coeffs))
+    texts = distribution._pgf_texts(p)
+    if args.format == "json":
+        # The texts match -?\d+(/\d+)?, which JSON never escapes.  Printing
+        # them one by one never builds the whole document as one string.
+        print(f'{{"branch":"{_branch_label(p)}","coeffs":["', end="")
+        print(*texts, sep='","', end='"]}\n')
+    else:
+        print(*texts)
     return 0
 
 
@@ -155,7 +156,9 @@ def cmd_regions(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``hypergen`` parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="hypergen",
         description="Exact hypergeometric-distribution generating functions and moments.",
@@ -167,7 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pgf.add_argument("K", type=int)
     p_pgf.add_argument("n", type=int)
     p_pgf.add_argument("--format", choices=("coeffs", "latex", "json"), default="coeffs")
-    p_pgf.set_defaults(func=cmd_pgf)
 
     p_eval = sub.add_parser("eval", help="evaluate a generating function at a point")
     p_eval.add_argument("N", type=int)
@@ -175,23 +177,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("n", type=int)
     p_eval.add_argument("--at", required=True, help="rational z for pgf, float t otherwise")
     p_eval.add_argument("--kind", choices=("pgf", "mgf", "cf", "cgf"), default="pgf")
-    p_eval.set_defaults(func=cmd_eval)
 
     p_mom = sub.add_parser("moments", help="factorial and raw moment table")
     p_mom.add_argument("N", type=int)
     p_mom.add_argument("K", type=int)
     p_mom.add_argument("n", type=int)
     p_mom.add_argument("--max-r", type=int, default=2)
-    p_mom.set_defaults(func=cmd_moments)
 
     p_ver = sub.add_parser("verify", help="run the oracle grid check")
     p_ver.add_argument("--n-max", type=int, default=30)
     p_ver.add_argument("--jobs", type=int, default=1)
-    p_ver.set_defaults(func=cmd_verify)
 
     p_reg = sub.add_parser("regions", help="CSV of admitted branch tags per (n, K)")
     p_reg.add_argument("N", type=int)
-    p_reg.set_defaults(func=cmd_regions)
 
     return parser
 
@@ -202,8 +200,17 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # The cached parser holds command names, not functions: a command is
+    # looked up on each call, so rebinding a cmd_* function takes effect.
+    command = {
+        "pgf": cmd_pgf,
+        "eval": cmd_eval,
+        "moments": cmd_moments,
+        "verify": cmd_verify,
+        "regions": cmd_regions,
+    }[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except (HypergenError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -34,7 +34,13 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .core import DomainError, HypergenError, HypergeomParams, PgfPolynomial, as_rational, binomial
-from .hyp2f1 import Terminating2F1, _horner_pair, eval_terminating_2f1, scaled_terms
+from .hyp2f1 import (
+    Terminating2F1,
+    _horner_pair,
+    _scaled_term_texts,
+    eval_terminating_2f1,
+    scaled_terms,
+)
 
 
 class IndeterminateLegacyFormula(HypergenError):
@@ -204,6 +210,16 @@ def pgf_polynomial(p: HypergeomParams) -> PgfPolynomial:
     ``max(0, n+K-N)`` are exactly zero.
     """
     return branch_polynomial(p, canonical_branch(p))
+
+
+def _pgf_texts(p: HypergeomParams) -> list[str]:
+    """``[str(c) for c in pgf_polynomial(p).coeffs]``, in time linear in the text.
+
+    The same branch and running product as :func:`pgf_polynomial`, with the
+    digits produced in decimal by :func:`hyp2f1._scaled_term_texts`.
+    """
+    pref, shift, f, _ = _branch_parts(p, canonical_branch(p))
+    return ["0"] * shift + _scaled_term_texts(f, pref)
 
 
 def pgf_eval(p: HypergeomParams, z) -> Fraction:

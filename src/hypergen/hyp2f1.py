@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 from .core import DomainError, HypergenError, as_rational
 
@@ -119,17 +120,51 @@ def series_coefficients(f: Terminating2F1) -> tuple[Fraction, ...]:
 def scaled_terms(f: Terminating2F1, first: Fraction) -> tuple[Fraction, ...]:
     """The series terms times ``first``: ``first * (a)_k (b)_k / ((c)_k k!)``.
 
-    A running product of the small term ratios
-    ``(a+k)(b+k) / ((c+k)(k+1))``, so that each step cancels only
-    big-by-small gcds however large ``first`` is.
+    A running product of the small term ratios of :func:`_term_ratios`, so
+    that each step cancels only big-by-small gcds however large ``first``
+    is.
     """
-    a, b, c = f.a, f.b, f.c
     term = first
     terms = [term]
-    for k in range(f.termination_index - 1):
-        term *= Fraction((a + k) * (b + k), (c + k) * (k + 1))
+    for p, q in _term_ratios(f):
+        term *= Fraction(p, q)
         terms.append(term)
     return tuple(terms)
+
+
+def _term_ratios(f: Terminating2F1):
+    """The term ratios ``(a+k)(b+k) / ((c+k)(k+1))`` of the series, as integer pairs."""
+    a, b, c = f.a, f.b, f.c
+    for k in range(f.termination_index - 1):
+        yield (a + k) * (b + k), (c + k) * (k + 1)
+
+
+#: Integer arithmetic in decimal: a result that would need rounding raises instead.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])
+
+
+def _scaled_term_texts(f: Terminating2F1, first: Fraction) -> list[str]:
+    """``[str(t) for t in scaled_terms(f, first)]`` in time linear in the text.
+
+    CPython's int-to-str is quadratic in the digit count, so at large ``N``
+    printing the terms costs far more than computing them.  Here each
+    reduced term ``num/den`` is carried as a pair of integer-valued
+    Decimals, whose ``str()`` is linear.  A step multiplies by the reduced
+    ratio ``p/q`` after dividing out the cross gcds ``gcd(num, q)`` and
+    ``gcd(den, p)``, as ``Fraction.__mul__`` does, so the pair stays reduced
+    and prints as the Fraction would.  Every operation is big-by-small.  The
+    context is local, and the caller's decimal context is left as it was.
+    """
+    with localcontext(_EXACT):
+        num, den = Decimal(first.numerator), Decimal(first.denominator)
+        texts = [str(num) if den == 1 else f"{num}/{den}"]
+        for p, q in _term_ratios(f):
+            g = gcd(p, q)
+            p, q = p // g, q // g
+            g_num, g_den = gcd(int(num % q), q), gcd(int(den % p), p)
+            num, den = num // g_num * (p // g_den), den // g_den * (q // g_num)
+            texts.append(str(num) if den == 1 else f"{num}/{den}")
+    return texts
 
 
 def _shift(a: int, b: int, c: int, r: int) -> tuple[int, int, tuple[int, int, int] | None]:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import operator
+import os
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
@@ -151,6 +152,12 @@ def _check_population(N: int) -> tuple[int, int, list[CheckFailure]]:
     return checked, failed, failures
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS reports one."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def oracle_grid_check(n_max: int, *, bound: int | None = None, jobs: int = 1) -> VerificationReport:
     """Run the full grid up to ``n_max`` and aggregate a deterministic report.
 
@@ -181,8 +188,9 @@ def oracle_grid_check(n_max: int, *, bound: int | None = None, jobs: int = 1) ->
         # Largest population first, so no worker is left with a big N at
         # the end; the results are put back in N order.  The pool forks all
         # its workers at start, so it asks for no more than there are
-        # populations.
-        with ProcessPoolExecutor(max_workers=min(jobs, n_max + 1)) as pool:
+        # populations or CPUs this process may run on.
+        workers = min(jobs, n_max + 1, _usable_cpus())
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_check_population, range(n_max, -1, -1)))[::-1]
 
     n_checked = sum(r[0] for r in results)

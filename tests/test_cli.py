@@ -3,7 +3,7 @@ import json
 import pytest
 
 from conftest import REGIONS_4_ROWS
-from hypergen import PgfPolynomial, distribution
+from hypergen import PgfPolynomial, cli, distribution
 from hypergen.cli import main
 
 
@@ -216,3 +216,11 @@ class TestHarness:
         first = run(argv, capsys)
         second = run(argv, capsys)
         assert first == second
+
+    def test_a_command_is_looked_up_on_each_call(self, monkeypatch, capsys):
+        # the parser is built once per process and must not keep the first command functions
+        assert run(["pgf", "4", "2", "3"], capsys)[0] == 0
+        calls = []
+        monkeypatch.setattr(cli, "cmd_pgf", lambda args: calls.append(args.N) or 0)
+        assert run(["pgf", "4", "2", "3"], capsys) == (0, "", "")
+        assert calls == [4]

@@ -4,6 +4,10 @@ References here come from ``math.comb`` and plain integer arithmetic only,
 so they share no code with the series engine they check.
 """
 
+import contextlib
+import decimal
+import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -27,6 +31,7 @@ from hypergen import (
     series_coefficients,
 )
 from hypergen.cli import main as cli_main
+from hypergen.distribution import _pgf_texts
 
 
 def binomial_row(m):
@@ -113,16 +118,23 @@ def test_import_leaves_process_pool_unloaded():
     assert done.stdout.strip() == "False"
 
 
-def _digits(value):
+@contextlib.contextmanager
+def _no_digit_limit():
     set_limit = getattr(sys, "set_int_max_str_digits", None)
     if set_limit is None:
-        return str(value.numerator), str(value.denominator)
+        yield
+        return
     limit = sys.get_int_max_str_digits()
     set_limit(0)
     try:
-        return str(value.numerator), str(value.denominator)
+        yield
     finally:
         set_limit(limit)
+
+
+def _digits(value):
+    with _no_digit_limit():
+        return str(value.numerator), str(value.denominator)
 
 
 def test_cli_renders_values_past_the_digit_limit(capsys):
@@ -137,6 +149,55 @@ def test_cli_renders_values_past_the_digit_limit(capsys):
     want = comb_pgf_value(15000, 7500, 7500, 2)
     # int() of a long digit string is itself capped; compare digit strings instead.
     assert (num, den) == _digits(want)
+
+
+def test_cli_renders_the_pgf_past_the_digit_limit(capsys):
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+    limit = get_limit()
+    context = decimal.getcontext()
+    settings = repr(context)
+    assert cli_main(["pgf", "15000", "7500", "7500", "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert get_limit() == limit
+    assert decimal.getcontext() is context and repr(context) == settings
+    payload = json.loads(out)
+    assert payload["branch"] == "3a"
+    coeffs = payload["coeffs"]
+    assert len(coeffs) == 7501
+    row, total = binomial_row(7500), comb(15000, 7500)
+    # Reducing and printing all 7501 masses takes seconds, so every 75th
+    # is compared; the at-scale tests below compare whole coefficient lists.
+    long = 0
+    for k in [*range(0, 7501, 75), 3749, 3750, 3751]:
+        num, den = _digits(Fraction(row[k] * row[7500 - k], total))
+        assert coeffs[k] == f"{num}/{den}", k
+        long += len(den) > 4300
+    assert long > 0  # the sample reaches past the limit
+
+
+def test_pgf_texts_are_str_of_the_coefficients_on_every_small_triple():
+    shifted = 0
+    for N in range(41):
+        for K in range(N + 1):
+            for n in range(N + 1):
+                p = make_params(N, K, n)
+                texts = _pgf_texts(p)
+                assert texts == [str(c) for c in pgf_polynomial(p).coeffs], (N, K, n)
+                shifted += texts[0] == "0"
+    assert shifted > 0  # ThmB's leading zeros are among them
+
+
+@pytest.mark.parametrize("N", [2000, 8000, 20000])
+@pytest.mark.parametrize("branch", [BranchTag.THM_A, BranchTag.THM_B])
+def test_pgf_texts_are_str_of_the_coefficients_at_scale(N, branch):
+    rng = random.Random(N)
+    p = make_params(N, rng.randint(1, N - 1), rng.randint(1, N - 1))
+    while canonical_branch(p) is not branch:
+        p = make_params(N, rng.randint(1, N - 1), rng.randint(1, N - 1))
+    with _no_digit_limit():
+        want = [str(c) for c in pgf_polynomial(p).coeffs]
+    assert _pgf_texts(p) == want
 
 
 def test_cli_refuses_an_over_long_argument(capsys):

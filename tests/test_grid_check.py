@@ -121,7 +121,9 @@ def test_failing_grid_report_does_not_depend_on_jobs(monkeypatch):
     assert oracle_grid_check(9, jobs=2) == serial
 
 
-def test_verify_asks_for_no_more_workers_than_populations(monkeypatch, capsys):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The ``max_workers`` each process pool is asked for; the pools run in this process."""
     import concurrent.futures
 
     asked = []
@@ -140,10 +142,30 @@ def test_verify_asks_for_no_more_workers_than_populations(monkeypatch, capsys):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return asked
+
+
+def test_verify_asks_for_no_more_workers_than_populations(monkeypatch, capsys, pool_sizes):
+    # more CPUs than populations, so the population count is the cap that binds
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
     assert cli_main(["verify", "--n-max", "2", "--jobs", "100000"]) == 0
     assert capsys.readouterr().out == "checked 14 triples, 0 failures\n"
     assert oracle_grid_check(4, jobs=2) == oracle_grid_check(4)
-    assert asked == [3, 2]
+    assert pool_sizes == [3, 2]
+
+
+def test_verify_asks_for_no_more_workers_than_usable_cpus(monkeypatch, pool_sizes):
+    serial = oracle_grid_check(6)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert oracle_grid_check(6, jobs=100000) == serial
+    assert oracle_grid_check(6, jobs=2) == serial
+    # without an affinity call the CPU count caps the pool, and an unknown count means one worker
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert oracle_grid_check(6, jobs=100000) == serial
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert oracle_grid_check(6, jobs=100000) == serial
+    assert pool_sizes == [3, 2, 5, 1]
 
 
 def _fraction_horner(coeffs, z):
